@@ -2,9 +2,11 @@
 
 The filter stages run in a fixed order: odd, last digit in {1,3,7,9},
 digital root not in {3,6,9}, residue on a prime modulus of the 24-wheel.
-Survivors go to the grid stage, where a divisor scan over the 6k±1 axis
-settles primality exactly.  Factor searches prune candidates with the
-last-digit and digital-root pair tables before any division.
+Survivors go to the grid stage, where one divisor walk over the 6k±1
+axis settles primality exactly: upward from 5 for the least factor, or
+downward from sqrt(n) for the balanced pair.  The last-digit and
+digital-root pair tables are tested facts about factor pairs, not filters
+on the walk.
 """
 
 from __future__ import annotations
@@ -12,12 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import isqrt
 
 from . import qgrid
 from .errors import NoFactorsError, NotQuasiPrimeError
 from .numerics import digital_root, modulus_of, prime_moduli
-from .qgrid import MAX_VALUE, GridCoordinate, axis_index
+from .qgrid import MAX_VALUE, GridCoordinate, axis_index, require_int
 
 PRIME_MODULI_24 = prime_moduli(24)
 
@@ -126,6 +127,7 @@ def _classify_stage(n: int) -> Stage | None:
 
 def prefilter(n: int) -> FilterVerdict:
     """Run the four cheap stages in order; Pass means n survives them all."""
+    require_int(n)
     if n < 2:
         raise ValueError(f"prefilter is defined for n >= 2, got {n}")
     stage = _classify_stage(n)
@@ -156,72 +158,6 @@ def dr_pairs(r: int) -> frozenset[tuple[int, int]]:
     )
 
 
-def _candidate_filters(n: int) -> tuple[frozenset[int] | None, frozenset[int]]:
-    """Digit and digital-root sets a factor candidate of n must fall in.
-
-    The digit set is None when n is divisible by 5; the pair table is only
-    defined for products ending in 1, 3, 7 or 9.
-    """
-    digits = None
-    if n % 10 in (1, 3, 7, 9):
-        digits = frozenset(x for pair in last_digit_pairs(n % 10) for x in pair)
-    roots = frozenset(x for pair in dr_pairs(digital_root(n)) for x in pair)
-    return digits, roots
-
-
-def _scan_ascending(n, digits, roots):
-    """Smallest admissible axis divisor of n, as a pair, or None."""
-    d, step = 5, 2
-    while d * d <= n:
-        if (
-            (digits is None or d % 10 in digits)
-            and 1 + (d - 1) % 9 in roots
-            and n % d == 0
-        ):
-            return d, n // d
-        d += step
-        step = 6 - step
-    return None
-
-
-def _axis_floor(x):
-    offset = (0, 0, 1, 2, 3, 0)[x % 6] if x % 6 != 0 else 1
-    v = x - offset
-    return v if v >= 5 else None
-
-
-def _scan_balanced(n, digits, roots):
-    """Divisor pair of n closest to the reflection line, or None.
-
-    Starts from the axis values bracketing sqrt(n) and expands outward on
-    both sides; the first hit on either side is the pair minimizing b - a.
-    Once the lower side drops below 5 no divisor pair remains, so n is prime.
-    """
-    lo = _axis_floor(isqrt(n))
-    hi = (lo + (2 if lo % 6 == 5 else 4)) if lo is not None else 5
-    while True:
-        if lo is not None:
-            if (
-                (digits is None or lo % 10 in digits)
-                and 1 + (lo - 1) % 9 in roots
-                and n % lo == 0
-            ):
-                return lo, n // lo
-            lo = lo - (2 if lo % 6 == 1 else 4)
-            if lo < 5:
-                return None
-        if hi * 5 <= n:
-            if (
-                (digits is None or hi % 10 in digits)
-                and 1 + (hi - 1) % 9 in roots
-                and n % hi == 0
-            ):
-                return n // hi, hi
-            hi = hi + (2 if hi % 6 == 5 else 4)
-        elif lo is None:
-            return None
-
-
 def _small_witness(n: int, stage: Stage) -> int | None:
     """Divisor 2 or 3 behind a filter rejection, when one is implied.
 
@@ -232,15 +168,16 @@ def _small_witness(n: int, stage: Stage) -> int | None:
         return 2
     if stage is Stage.DIGITAL_ROOT_369:
         return 3
-    if stage is Stage.LAST_DIGIT:
-        return 3 if n % 3 == 0 else None
+    if stage is Stage.LAST_DIGIT and n % 3 == 0:
+        return 3
     # NOT_PRIME_MODULUS never fires after the earlier stages on the 24-wheel,
     # since odd and root-of-3-free already force a 6k±1 residue.
-    return 2 if n % 2 == 0 else 3
+    return None
 
 
 def is_prime(n: int, strategy: SearchStrategy = SearchStrategy.ASCENDING_SCAN) -> PrimalityVerdict:
     """Exact staged primality verdict with a checkable witness for composites."""
+    require_int(n)
     if n > MAX_VALUE:
         raise ValueError(f"{n} exceeds the 64-bit input cap")
     if n < 2:
@@ -252,16 +189,10 @@ def is_prime(n: int, strategy: SearchStrategy = SearchStrategy.ASCENDING_SCAN) -
         witness = _small_witness(n, stage)
         if witness is not None:
             return PrimalityVerdict(n, VerdictKind.COMPOSITE, witness, stage, strategy)
-    if strategy is SearchStrategy.BALANCED_FIRST:
-        pair = _scan_balanced(n, *_candidate_filters(n))
-        coord = None
-        if pair is not None:
-            i, j = axis_index(pair[0]), axis_index(pair[1])
-            coord = GridCoordinate(i, j, n)
-    else:
-        coord = qgrid.contains(n, skip_fives=n % 5 != 0)
-    if coord is None:
+    a = qgrid.axis_divisor(n, descending=strategy is SearchStrategy.BALANCED_FIRST)
+    if a is None:
         return PrimalityVerdict(n, VerdictKind.PRIME, None, Stage.GRID_SEARCH, strategy)
+    coord = GridCoordinate(axis_index(a), axis_index(n // a), n)
     deciding = stage if stage is not None else Stage.GRID_SEARCH
     return PrimalityVerdict(n, VerdictKind.COMPOSITE, coord, deciding, strategy)
 
@@ -272,20 +203,17 @@ def factor_on_grid(n: int, strategy: SearchStrategy = SearchStrategy.ASCENDING_S
     AscendingScan returns the pair with the smallest a (the least prime
     factor); BalancedFirst returns the pair minimizing b - a.
     """
+    require_int(n)
     if n > MAX_VALUE:
         raise ValueError(f"{n} exceeds the 64-bit input cap")
     if n < 2:
         raise ValueError(f"factorization needs n >= 2, got {n}")
     if n % 2 == 0 or n % 3 == 0:
         raise NotQuasiPrimeError(f"{n} has factor 2 or 3, off the quasi-prime domain")
-    filters = _candidate_filters(n)
-    if strategy is SearchStrategy.BALANCED_FIRST:
-        pair = _scan_balanced(n, *filters)
-    else:
-        pair = _scan_ascending(n, *filters)
-    if pair is None:
+    a = qgrid.axis_divisor(n, descending=strategy is SearchStrategy.BALANCED_FIRST)
+    if a is None:
         raise NoFactorsError(f"{n} is prime; the grid holds no factor pair for it")
-    return FactorPair(*pair)
+    return FactorPair(a, n // a)
 
 
 def full_factorize(n: int) -> list[int]:
@@ -295,6 +223,7 @@ def full_factorize(n: int) -> list[int]:
     first, then the grid splits off least prime factors until a prime
     cofactor remains.
     """
+    require_int(n)
     if n > MAX_VALUE:
         raise ValueError(f"{n} exceeds the 64-bit input cap")
     if n < 2:
@@ -305,14 +234,10 @@ def full_factorize(n: int) -> list[int]:
             factors.append(p)
             n //= p
     while n > 1:
-        coord = qgrid.contains(n, skip_fives=n % 5 != 0)
-        if coord is None:
-            factors.append(n)
-            break
-        least = qgrid.axis_value(coord.i)
+        least = qgrid.axis_divisor(n) or n  # None: the cofactor n is prime
         factors.append(least)
         n //= least
-    return sorted(factors)
+    return factors
 
 
 def survivor_density(limit: int) -> DensityReport:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from math import isqrt
 
 from .errors import NotOnPrimeModuliError, ResourceLimitError
 from .numerics import digital_root
@@ -77,28 +78,53 @@ def grid_value(i: int, j: int) -> int:
     return v
 
 
-def contains(n: int, *, skip_fives: bool = False) -> GridCoordinate | None:
+def require_int(n) -> None:
+    """Reject anything but a plain int, bool included, before it meets the arithmetic."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise TypeError(f"expected an int, got {type(n).__name__}")
+
+
+def axis_divisor(n: int, descending: bool = False) -> int | None:
+    """Axis divisor of n no larger than sqrt(n); None when there is none.
+
+    n must be coprime to 6, so every divisor above 1 lies on the axis.  The
+    walk tests the axis in (6k-1, 6k+1) pairs, upward from 5 for the least
+    divisor (the least prime factor), or with ``descending`` downward from
+    isqrt(n) for the largest one, whose pair (a, n // a) is nearest the
+    reflection line.  None means n is 1 or prime.
+    """
+    r = isqrt(n)
+    lows = range(r - (r + 1) % 6, 4, -6) if descending else range(5, r + 1, 6)
+    for d in lows:
+        if n % d == 0 or n % (d + 2) == 0:
+            break
+    else:
+        return None
+    if descending:
+        hit = d + 2 if n % (d + 2) == 0 else d
+    else:
+        hit = d if n % d == 0 else d + 2
+    # The first pair of the downward walk may hit at d + 2 > sqrt(n).  No axis
+    # value lies between sqrt(n) and d + 2, so its cofactor is then the
+    # largest divisor <= sqrt(n).  Everywhere else hit <= sqrt(n) already.
+    return min(hit, n // hit)
+
+
+def contains(n: int) -> GridCoordinate | None:
     """Locate n in the grid; None means n is prime.
 
     Returns the coordinate with the smallest axis divisor, which for a
-    composite n coprime to 6 is its smallest prime factor.  ``skip_fives``
-    prunes candidates divisible by 5 (sound whenever 5 does not divide n).
+    composite n coprime to 6 is its smallest prime factor.
     """
+    require_int(n)
     if n > MAX_VALUE:
         raise ResourceLimitError(f"{n} exceeds the 64-bit cap")
     if n < 5 or n % 6 not in (1, 5):
         raise NotOnPrimeModuliError(f"{n} is not on the 6k±1 moduli")
-    d = 5
-    step = 2
-    while d * d <= n:
-        if not (skip_fives and d % 5 == 0) and n % d == 0:
-            i = axis_index(d)
-            j = axis_index(n // d)
-            assert i is not None and j is not None
-            return GridCoordinate(i, j, n)
-        d += step
-        step = 6 - step
-    return None
+    a = axis_divisor(n)
+    if a is None:
+        return None
+    return GridCoordinate(axis_index(a), axis_index(n // a), n)
 
 
 def quasiprime_tag(c: GridCoordinate) -> QuasiPrimeTag:

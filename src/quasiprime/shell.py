@@ -368,8 +368,11 @@ def _cmd_wheel(args) -> int:
     _check_env_cap(args.limit)
     render = build_wheel_render(args.sides, args.limit)
     svg = emit_wheel_svg(render)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(svg)
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(svg)
+    except OSError as exc:  # a bad --out path is the caller's error, not ours
+        raise ValueError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
     payload = {
         "sides": render.sides,
         "limit": render.limit,

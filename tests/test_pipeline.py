@@ -22,7 +22,7 @@ from quasiprime.pipeline import (
     prefilter,
     survivor_density,
 )
-from quasiprime.qgrid import GridCoordinate
+from quasiprime.qgrid import GridCoordinate, contains
 
 ASC = SearchStrategy.ASCENDING_SCAN
 BAL = SearchStrategy.BALANCED_FIRST
@@ -189,6 +189,13 @@ class TestPairTables:
             dr_pairs(bad)
 
 
+@pytest.mark.parametrize("fn", [is_prime, factor_on_grid, full_factorize, prefilter, contains])
+@pytest.mark.parametrize("bad", [49.0, True, "49", None])
+def test_non_int_input_is_a_type_error(fn, bad):
+    with pytest.raises(TypeError, match=type(bad).__name__):
+        fn(bad)
+
+
 def divisor_pairs(n):
     """All (a, b), a <= b, a*b = n with both sides on the 6k±1 axis."""
     pairs = []
@@ -260,6 +267,37 @@ class TestFactorOnGrid:
             assert got.a * got.b == n
             best = min(b - a for a, b in pairs)
             assert got.b - got.a == best
+
+    @staticmethod
+    def check_against_trial_factor(n):
+        """Asc gives the least prime factor, balanced the largest divisor <= sqrt(n)."""
+        factors = oracle.trial_factor(n)
+        divisors = {1}
+        for p in factors:
+            divisors |= {d * p for d in divisors}
+        below_root = [d for d in divisors if 1 < d and d * d <= n]
+        if not below_root:
+            for strategy in (ASC, BAL):
+                with pytest.raises(NoFactorsError):
+                    factor_on_grid(n, strategy)
+            return
+        assert factor_on_grid(n, ASC) == FactorPair(factors[0], n // factors[0])
+        best = max(below_root)
+        assert factor_on_grid(n, BAL) == FactorPair(best, n // best)
+
+    @given(st.integers(min_value=2 * 10**4 // 6 + 1, max_value=10**10 // 6), st.sampled_from((-1, 1)))
+    def test_both_strategies_beyond_the_brute_force_window(self, k, side):
+        self.check_against_trial_factor(6 * k + side)
+
+    def test_both_ends_of_the_downward_walk(self):
+        # squares put the answer at isqrt(n); twin-style products (6k-1)(6k+1)
+        # straddle sqrt(n) with both sides in one axis pair
+        primes = [p for p in range(5, 1000) if oracle.trial_is_prime(p)]
+        cases = [25, 35, 49, 169, 221]
+        cases += [p * p for p in primes]
+        cases += [p * (p + 2) for p in primes if p % 6 == 5]
+        for n in cases:
+            self.check_against_trial_factor(n)
 
     @given(st.integers(min_value=2, max_value=10**4), st.integers(min_value=2, max_value=10**4))
     @settings(max_examples=200)

@@ -137,11 +137,6 @@ class TestContains:
                 a, b = coord.axis_values
                 assert a * b == n
 
-    def test_skip_fives_is_sound_when_applicable(self):
-        for n in range(7, 5000):
-            if n % 6 in (1, 5) and n % 5 != 0:
-                assert contains(n, skip_fives=True) == contains(n)
-
     def test_caps_at_64_bits(self):
         with pytest.raises(ResourceLimitError):
             contains(2**63)

@@ -119,6 +119,13 @@ class TestWheelCommand:
                          "--out", str(tmp_path / "w.svg"))
         assert code == 2
 
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "w.svg"
+        code, _, err = run(capsys, "wheel", "--limit", "48", "--out", str(target))
+        assert code == 2
+        assert str(target) in err
+        assert "internal error" not in err
+
     def test_pipeline_sieve_disagreement_aborts(self, capsys, tmp_path, monkeypatch):
         def lying(n, strategy=SearchStrategy.ASCENDING_SCAN):
             if n == 49:
