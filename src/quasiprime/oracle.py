@@ -8,10 +8,9 @@ digital-root machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from math import isqrt
 from typing import Callable, Iterable
-
-import numpy as np
 
 from .errors import ResourceLimitError
 
@@ -25,7 +24,7 @@ class PrimeTable:
     Immutable once built; safe to share read-only across workers.
     """
 
-    def __init__(self, limit: int, odd_bits: np.ndarray):
+    def __init__(self, limit: int, odd_bits: bytearray):
         self.limit = limit
         self._odd = odd_bits
 
@@ -40,16 +39,12 @@ class PrimeTable:
             return False
         return bool(self._odd[n >> 1])
 
-    def primes(self) -> np.ndarray:
+    def primes(self) -> list[int]:
         """All primes <= limit, ascending."""
-        odds = (np.nonzero(self._odd)[0] * 2 + 1).astype(np.int64)
-        if self.limit >= 2:
-            return np.concatenate(([2], odds[odds >= 3]))
-        return odds[odds >= 3]
+        return [2] + list(compress(range(1, self.limit + 1, 2), self._odd))
 
     def count(self) -> int:
-        n = int(np.count_nonzero(self._odd[1:]))  # skip index 0 (= 1)
-        return n + (1 if self.limit >= 2 else 0)
+        return 1 + self._odd.count(1)
 
 
 def sieve(limit: int) -> PrimeTable:
@@ -58,11 +53,12 @@ def sieve(limit: int) -> PrimeTable:
         raise ValueError("sieve limit must be at least 2")
     if limit > SIEVE_LIMIT_CAP:
         raise ResourceLimitError(f"sieve limit {limit} exceeds cap {SIEVE_LIMIT_CAP}")
-    odd = np.ones((limit + 1) // 2, dtype=bool)  # index i <-> n = 2i+1, up to limit
-    odd[0] = False  # 1 is not prime
+    odd = bytearray([1]) * ((limit + 1) // 2)  # index i <-> n = 2i+1, up to limit
+    odd[0] = 0  # 1 is not prime
     for p in range(3, isqrt(limit) + 1, 2):
         if odd[p >> 1]:
-            odd[(p * p) >> 1 :: p] = False
+            s = (p * p) >> 1
+            odd[s::p] = bytes(len(range(s, len(odd), p)))
     return PrimeTable(limit, odd)
 
 

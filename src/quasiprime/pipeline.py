@@ -220,8 +220,7 @@ def full_factorize(n: int) -> list[int]:
     """Sorted prime multiset of n.
 
     Factors 2 and 3 sit outside the quasi-prime domain; they are stripped
-    first, then the grid splits off least prime factors until a prime
-    cofactor remains.
+    first, then one upward walk over the grid axis splits off the rest.
     """
     require_int(n)
     if n > MAX_VALUE:
@@ -233,11 +232,7 @@ def full_factorize(n: int) -> list[int]:
         while n % p == 0:
             factors.append(p)
             n //= p
-    while n > 1:
-        least = qgrid.axis_divisor(n) or n  # None: the cofactor n is prime
-        factors.append(least)
-        n //= least
-    return factors
+    return factors + qgrid.axis_factors(n)
 
 
 def survivor_density(limit: int) -> DensityReport:

@@ -23,8 +23,17 @@ MAX_VALUE = 2**63 - 1
 REGION_CELL_CAP = 10**4
 
 
+def require_int(n) -> None:
+    """Reject anything but a plain int, bool included, before it meets the arithmetic."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise TypeError(f"expected an int, got {type(n).__name__}")
+
+
 def axis_value(k: int) -> int:
     """k-th axis value: a(2t-1) = 6t-1, a(2t) = 6t+1, so a(1) = 5, a(2) = 7, ..."""
+    # Every witness runs both axis helpers twice, so an exact int skips the call.
+    if type(k) is not int:
+        require_int(k)
     if k < 1:
         raise ValueError(f"axis indices start at 1, got {k}")
     half, rem = divmod(k, 2)
@@ -36,6 +45,8 @@ def axis_value(k: int) -> int:
 
 def axis_index(v: int) -> int | None:
     """Inverse of axis_value; None when v is not on the axis."""
+    if type(v) is not int:
+        require_int(v)
     if v < 5:
         return None
     r = v % 6
@@ -78,12 +89,6 @@ def grid_value(i: int, j: int) -> int:
     return v
 
 
-def require_int(n) -> None:
-    """Reject anything but a plain int, bool included, before it meets the arithmetic."""
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise TypeError(f"expected an int, got {type(n).__name__}")
-
-
 def axis_divisor(n: int, descending: bool = False) -> int | None:
     """Axis divisor of n no larger than sqrt(n); None when there is none.
 
@@ -94,7 +99,38 @@ def axis_divisor(n: int, descending: bool = False) -> int | None:
     reflection line.  None means n is 1 or prime.
     """
     r = isqrt(n)
-    lows = range(r - (r + 1) % 6, 4, -6) if descending else range(5, r + 1, 6)
+    lows = range(_pair_start(r), 4, -6) if descending else range(5, r + 1, 6)
+    return _walk(n, lows, descending)
+
+
+def axis_factors(n: int) -> list[int]:
+    """Prime factors of n, ascending; n must be coprime to 6.
+
+    Every prime factor of the cofactor is at least the factor just split
+    off, so each upward walk resumes at the pair holding that factor
+    instead of at 5.
+    """
+    factors: list[int] = []
+    low = 5
+    while n > 1:
+        p = _walk(n, range(low, isqrt(n) + 1, 6), False) or n  # None: n is prime
+        factors.append(p)
+        n //= p
+        low = _pair_start(p)
+    return factors
+
+
+def _pair_start(v: int) -> int:
+    """6k-1 of the largest (6k-1, 6k+1) pair starting at or below v."""
+    return v - (v + 1) % 6
+
+
+def _walk(n: int, lows: range, descending: bool) -> int | None:
+    """Divisor of n from the first pair (d, d + 2), d in lows, that holds one.
+
+    Within a pair the walk prefers d going up and d + 2 going down.  The hit
+    or its cofactor is returned, whichever is <= sqrt(n).
+    """
     for d in lows:
         if n % d == 0 or n % (d + 2) == 0:
             break

@@ -50,14 +50,12 @@ def build_wheel_render(sides: int, limit: int) -> WheelRender:
     Aborts with ConsistencyError if the two ever disagree, or if any prime
     above 3 sits off the highlighted spokes.
     """
-    if sides < 6 or sides % 6 != 0:
-        raise ValueError(f"wheel sides must be a positive multiple of 6, got {sides}")
+    highlighted = prime_moduli(sides)
     if limit < 1:
         raise ValueError(f"wheel limit must be positive, got {limit}")
     if limit > WHEEL_LIMIT_CAP:
         raise ResourceLimitError(f"wheel limit {limit} exceeds render cap {WHEEL_LIMIT_CAP}")
     table = oracle.sieve(max(limit, 2))
-    highlighted = prime_moduli(sides)
     primes = set()
     for n in range(2, limit + 1):
         sieve_says = table.is_prime(n)

@@ -6,6 +6,7 @@ Run with `pytest tests/test_acceptance.py -v -s`.  The heavyweight sweeps
 
 import json
 import time
+from bisect import bisect_left, bisect_right
 from math import gcd
 
 import pytest
@@ -52,7 +53,6 @@ def test_c02_prime_squares_land_on_modulus_one(table_1e5):
     checked = 0
     for p in table_1e5.primes():
         if p >= 5:
-            p = int(p)
             assert (p * p) % 24 == 1, p
             assert modulus_of(p * p, 24) == 1, p
             checked += 1
@@ -62,7 +62,7 @@ def test_c02_prime_squares_land_on_modulus_one(table_1e5):
 def test_c03_no_prime_has_root_3_6_9(table_1e6):
     for p in table_1e6.primes():
         if p > 3:
-            assert digital_root(int(p)) not in (3, 6, 9), p
+            assert digital_root(p) not in (3, 6, 9), p
     for n in range(1, 10**5 + 1):
         if digital_root(n) in (3, 6, 9):
             assert n % 3 == 0, n
@@ -103,12 +103,11 @@ def test_c07_survivor_density():
 
 def test_c08_factorization_sweeps(table_1e6):
     primes = table_1e6.primes()
-    small = [int(p) for p in primes if 5 <= p <= 1000]
+    small = [p for p in primes if 5 <= p <= 1000]
     count = 0
     t0 = time.perf_counter()
     for p in small:
-        for q in primes[(primes >= p) & (primes <= 10**6 // p)]:
-            q = int(q)
+        for q in primes[bisect_left(primes, p) : bisect_right(primes, 10**6 // p)]:
             want = (p, q)
             got_a = pipeline.factor_on_grid(p * q, ASC)
             got_b = pipeline.factor_on_grid(p * q, BAL)

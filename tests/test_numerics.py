@@ -153,7 +153,7 @@ class TestPrimeModuli:
             prime_moduli(bad)
 
     def test_primes_sit_on_prime_moduli(self, table_1e5):
-        primes = [int(p) for p in table_1e5.primes() if p >= 5]
+        primes = [p for p in table_1e5.primes() if p >= 5]
         for sides in (6, 12, 24, 30):
             spokes = prime_moduli(sides)
             assert all(modulus_of(p, sides) in spokes for p in primes)
@@ -178,12 +178,12 @@ class TestSquareAndRootLaws:
     def test_prime_squares_mod_24(self, table_1e5):
         for p in table_1e5.primes():
             if p >= 5:
-                assert (int(p) ** 2) % 24 == 1
+                assert (p**2) % 24 == 1
 
     def test_no_prime_root_in_369(self, table_1e5):
         for p in table_1e5.primes():
             if p > 3:
-                assert digital_root(int(p)) not in (3, 6, 9)
+                assert digital_root(p) not in (3, 6, 9)
 
     def test_root_369_means_divisible_by_three(self):
         for n in range(1, 10**4 + 1):

@@ -22,7 +22,7 @@ from quasiprime.pipeline import (
     prefilter,
     survivor_density,
 )
-from quasiprime.qgrid import GridCoordinate, contains
+from quasiprime.qgrid import GridCoordinate, axis_index, axis_value, contains, grid_value
 
 ASC = SearchStrategy.ASCENDING_SCAN
 BAL = SearchStrategy.BALANCED_FIRST
@@ -189,11 +189,23 @@ class TestPairTables:
             dr_pairs(bad)
 
 
-@pytest.mark.parametrize("fn", [is_prime, factor_on_grid, full_factorize, prefilter, contains])
-@pytest.mark.parametrize("bad", [49.0, True, "49", None])
-def test_non_int_input_is_a_type_error(fn, bad):
-    with pytest.raises(TypeError, match=type(bad).__name__):
-        fn(bad)
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        pytest.param(fn, (bad,), id=f"{bad}-{fn.__name__}")
+        for bad in (49.0, True, "49", None)
+        for fn in (is_prime, factor_on_grid, full_factorize, prefilter, contains)
+    ]
+    + [
+        pytest.param(axis_value, (5.0,), id="axis_value"),
+        pytest.param(axis_index, (25.0,), id="axis_index"),
+        pytest.param(grid_value, (True, 2), id="grid_value"),
+        pytest.param(GridCoordinate, (1.0, 1, 25), id="GridCoordinate"),
+    ],
+)
+def test_non_int_input_is_a_type_error(fn, args):
+    with pytest.raises(TypeError, match=type(args[0]).__name__):
+        fn(*args)
 
 
 def divisor_pairs(n):
@@ -333,6 +345,16 @@ class TestFullFactorize:
     @settings(max_examples=300)
     def test_matches_trial_division(self, n):
         assert full_factorize(n) == oracle.trial_factor(n)
+
+    def test_resumed_walk_keeps_every_factor(self):
+        # each walk resumes at the pair of the last factor found: a repeated
+        # factor, and a 6k-1 factor after a 6k+1 one, must still be found
+        primes = [p for p in range(5, 200) if oracle.trial_is_prime(p)]
+        cases = [2000003 * 2000029 * 2000039, 5**27, 7**22]
+        cases += [p * p * q for p in primes for q in primes if p < q]
+        cases += [p * q * q for p in primes for q in primes if p < q]
+        for n in cases:
+            assert full_factorize(n) == oracle.trial_factor(n), n
 
 
 class TestSurvivorDensity:
