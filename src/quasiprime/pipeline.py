@@ -2,11 +2,14 @@
 
 The filter stages run in a fixed order: odd, last digit in {1,3,7,9},
 digital root not in {3,6,9}, residue on a prime modulus of the 24-wheel.
-Survivors go to the grid stage, where one divisor walk over the 6k±1
-axis settles primality exactly: upward from 5 for the least factor, or
-downward from sqrt(n) for the balanced pair.  The last-digit and
-digital-root pair tables are tested facts about factor pairs, not filters
-on the walk.
+Survivors go to the grid stage, which settles primality exactly.  Up to
+isqrt(n) = qgrid.WALK_LIMIT one divisor walk over the 6k±1 axis does it:
+upward from 5 for the least factor, or downward from sqrt(n) for the
+balanced pair.  Above that the walk covers a short span only, and then
+deterministic Miller-Rabin, exact on the whole 64-bit domain, decides
+primality and Pollard-Brent rho factors the composites, so the witnesses
+are the same.  The last-digit and digital-root pair tables are tested
+facts about factor pairs, not filters on the walk.
 """
 
 from __future__ import annotations
@@ -220,7 +223,8 @@ def full_factorize(n: int) -> list[int]:
     """Sorted prime multiset of n.
 
     Factors 2 and 3 sit outside the quasi-prime domain; they are stripped
-    first, then one upward walk over the grid axis splits off the rest.
+    first, then one upward walk over the grid axis splits off the rest,
+    handing the cofactor to Miller-Rabin and rho above the walk's crossover.
     """
     require_int(n)
     if n > MAX_VALUE:

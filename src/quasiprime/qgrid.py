@@ -6,21 +6,50 @@ product of the i-th and j-th axis values.  The cells are exactly the
 composites coprime to 6, so membership decides primality for any
 number on the prime moduli.
 
-The grid is never materialized beyond bounded display regions;
-membership works by a divisor scan over axis values up to sqrt(n).
+The grid is never materialized beyond bounded display regions.
+Membership is exact, never probabilistic.  While isqrt(n) <= WALK_LIMIT a
+divisor walk over the axis values up to sqrt(n) settles it.  Above that, a
+short walk over the axis values up to SMALL_SPAN comes first, then
+deterministic Miller-Rabin on at most the first 12 prime bases, which is
+exact below 3.18e23 (Sorenson & Webster, Math. Comp. 2017), far above
+MAX_VALUE, and Pollard-Brent rho (Brent, BIT 1980) splits the composites.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import isqrt
+from math import gcd, isqrt
 
 from .errors import NotOnPrimeModuliError, ResourceLimitError
 from .numerics import digital_root
 
 MAX_VALUE = 2**63 - 1
 REGION_CELL_CAP = 10**4
+# The full walk while isqrt(n) <= WALK_LIMIT, else a walk over the axis values
+# up to SMALL_SPAN, then Miller-Rabin and rho.  Summed over primes, near-
+# balanced semiprimes and random n, both strategies and full_factorize, the
+# two cost the same near isqrt(n) = 800 on CPython 3.11.
+WALK_LIMIT = 800
+SMALL_SPAN = 300
+# (a, psi_k): the k-th prime base and the least composite that passes the
+# first k of them (Jaeschke, Math. Comp. 1993; Jiang & Deng, Math. Comp.
+# 2014; Sorenson & Webster, Math. Comp. 2017).  psi_12 > 3.18e23 > MAX_VALUE.
+_MR_ROUNDS = (
+    (2, 2047),
+    (3, 1373653),
+    (5, 25326001),
+    (7, 3215031751),
+    (11, 2152302898747),
+    (13, 3474749660383),
+    (17, 341550071728321),
+    (19, 341550071728321),
+    (23, 3825123056546413051),
+    (29, 3825123056546413051),
+    (31, 3825123056546413051),
+    (37, 318665857834031151167461),
+)
+_RHO_BATCH = 128  # rho steps whose differences share one gcd
 
 
 def require_int(n) -> None:
@@ -66,6 +95,8 @@ class GridCoordinate:
     value: int
 
     def __post_init__(self):
+        if type(self.value) is not int:
+            require_int(self.value)
         if not (1 <= self.i <= self.j):
             raise ValueError(f"need 1 <= i <= j, got ({self.i}, {self.j})")
         if self.value != axis_value(self.i) * axis_value(self.j):
@@ -92,15 +123,31 @@ def grid_value(i: int, j: int) -> int:
 def axis_divisor(n: int, descending: bool = False) -> int | None:
     """Axis divisor of n no larger than sqrt(n); None when there is none.
 
-    n must be coprime to 6, so every divisor above 1 lies on the axis.  The
-    walk tests the axis in (6k-1, 6k+1) pairs, upward from 5 for the least
-    divisor (the least prime factor), or with ``descending`` downward from
-    isqrt(n) for the largest one, whose pair (a, n // a) is nearest the
-    reflection line.  None means n is 1 or prime.
+    n must be coprime to 6, so every divisor above 1 lies on the axis.  Up to
+    the crossover the walk tests the axis in (6k-1, 6k+1) pairs, upward from
+    5 for the least divisor (the least prime factor), or with ``descending``
+    downward from isqrt(n) for the largest one, whose pair (a, n // a) is
+    nearest the reflection line.  Above it the walk covers SMALL_SPAN only
+    (the small factors going up, the stretch below sqrt(n) going down), and
+    the answer otherwise comes from n's prime factors.  None means n is 1 or
+    prime.
     """
     r = isqrt(n)
-    lows = range(_pair_start(r), 4, -6) if descending else range(5, r + 1, 6)
-    return _walk(n, lows, descending)
+    if r <= WALK_LIMIT:
+        lows = range(_pair_start(r), 4, -6) if descending else range(5, r + 1, 6)
+        return _walk(n, lows, descending)
+    if descending:
+        a = _walk(n, range(_pair_start(r), r - SMALL_SPAN, -6), True)
+        if a is not None or _is_prime_mr(n):
+            return a
+        divisors = {1}  # those <= r: each one's partial products are <= r too
+        for p in axis_factors(n):
+            divisors |= {d * p for d in divisors if d * p <= r}
+        return max(divisors)
+    a = _walk(n, range(5, SMALL_SPAN + 1, 6), False)
+    if a is not None or _is_prime_mr(n):
+        return a
+    return min(_split(n))
 
 
 def axis_factors(n: int) -> list[int]:
@@ -108,12 +155,19 @@ def axis_factors(n: int) -> list[int]:
 
     Every prime factor of the cofactor is at least the factor just split
     off, so each upward walk resumes at the pair holding that factor
-    instead of at 5.
+    instead of at 5.  Above the crossover the walk stops at SMALL_SPAN and
+    Miller-Rabin and rho factor what is left.
     """
     factors: list[int] = []
     low = 5
     while n > 1:
-        p = _walk(n, range(low, isqrt(n) + 1, 6), False) or n  # None: n is prime
+        r = isqrt(n)
+        if r > WALK_LIMIT:
+            p = _walk(n, range(low, SMALL_SPAN + 1, 6), False)
+            if p is None:
+                return factors + sorted(_split(n))
+        else:
+            p = _walk(n, range(low, r + 1, 6), False) or n  # None: n is prime
         factors.append(p)
         n //= p
         low = _pair_start(p)
@@ -144,6 +198,75 @@ def _walk(n: int, lows: range, descending: bool) -> int | None:
     # value lies between sqrt(n) and d + 2, so its cofactor is then the
     # largest divisor <= sqrt(n).  Everywhere else hit <= sqrt(n) already.
     return min(hit, n // hit)
+
+
+def _split(n: int) -> list[int]:
+    """Prime factors of n > 1, unordered; n has none up to SMALL_SPAN.
+
+    So n is prime when isqrt(n) <= SMALL_SPAN, and Miller-Rabin is needed
+    only above that.
+    """
+    if isqrt(n) <= SMALL_SPAN or _is_prime_mr(n):
+        return [n]
+    d = _rho(n)
+    return _split(d) + _split(n // d)
+
+
+def _is_prime_mr(n: int) -> bool:
+    """Deterministic Miller-Rabin for odd n > 37.
+
+    n passes a base a when a**d == 1 or a**(d * 2**i) == -1 (mod n) for some
+    i < s, where n - 1 = d * 2**s with d odd.  A composite below psi_k
+    fails one of the first k bases, so the rounds stop once n < psi_k.
+    """
+    d = n - 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    for a, psi in _MR_ROUNDS:
+        x = pow(a, d, n)
+        if x != 1 and x != n - 1:
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        if n < psi:
+            break
+    return True
+
+
+def _rho(n: int) -> int:
+    """A proper divisor of n, which is odd and composite.
+
+    Pollard-Brent rho on x -> x*x + c from x = 2 (Brent, BIT 1980).  The
+    constant c runs 1, 2, ... until one splits n, so the result is
+    deterministic.
+    """
+    c = 1
+    while True:
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += _RHO_BATCH
+            r *= 2
+        if g == n:  # the batch overshot: retrace it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
+        c += 1
 
 
 def contains(n: int) -> GridCoordinate | None:

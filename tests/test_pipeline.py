@@ -201,10 +201,12 @@ class TestPairTables:
         pytest.param(axis_index, (25.0,), id="axis_index"),
         pytest.param(grid_value, (True, 2), id="grid_value"),
         pytest.param(GridCoordinate, (1.0, 1, 25), id="GridCoordinate"),
+        pytest.param(GridCoordinate, (1, 1, 25.0), id="GridCoordinate-value"),
     ],
 )
 def test_non_int_input_is_a_type_error(fn, args):
-    with pytest.raises(TypeError, match=type(args[0]).__name__):
+    bad = next(a for a in args if type(a) is not int)
+    with pytest.raises(TypeError, match=type(bad).__name__):
         fn(*args)
 
 

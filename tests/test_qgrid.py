@@ -1,9 +1,12 @@
+from math import isqrt
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from quasiprime import oracle
-from quasiprime.errors import NotOnPrimeModuliError, ResourceLimitError
+from quasiprime import oracle, qgrid
+from quasiprime.errors import NoFactorsError, NotOnPrimeModuliError, ResourceLimitError
+from quasiprime.pipeline import SearchStrategy, factor_on_grid, full_factorize, is_prime
 from quasiprime.qgrid import (
     MAX_VALUE,
     GridCoordinate,
@@ -203,6 +206,85 @@ class TestRegion:
         for di, row in enumerate(table):
             for dj, v in enumerate(row):
                 assert v == grid_value(3 + di, 2 + dj)
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """Pairs (6k-1, 6k+1) visited by each axis walk, in call order.
+
+    No walk may pass the full walk at the crossover, so a walk that would
+    run on to sqrt(n) for a large n fails at once instead of taking minutes.
+    """
+    counts = []
+    walk = qgrid._walk
+    cap = (qgrid.WALK_LIMIT + 1) // 6
+
+    def counted(n, lows, descending):
+        index = len(counts)
+        counts.append(0)
+
+        def visit():
+            for d in lows:
+                counts[index] += 1
+                if counts[index] > cap:
+                    raise AssertionError(f"the walk for {n} passed {cap} pairs")
+                yield d
+
+        return walk(n, visit(), descending)
+
+    monkeypatch.setattr(qgrid, "_walk", counted)
+    return counts
+
+
+def factor_or_none(n, strategy):
+    """factor_on_grid, with None for a prime n."""
+    try:
+        return factor_on_grid(n, strategy)
+    except NoFactorsError:
+        return None
+
+
+ASC, BAL = SearchStrategy.ASCENDING_SCAN, SearchStrategy.BALANCED_FIRST
+GRID_CALLS = {
+    "is_prime-asc": lambda n: is_prime(n, ASC),
+    "is_prime-balanced": lambda n: is_prime(n, BAL),
+    "factor_on_grid-asc": lambda n: factor_or_none(n, ASC),
+    "factor_on_grid-balanced": lambda n: factor_or_none(n, BAL),
+    "full_factorize": full_factorize,
+}
+
+
+SPAN_PAIRS = (qgrid.SMALL_SPAN + 5) // 6  # the pairs of any stretch of SMALL_SPAN, rounded up
+
+
+class TestWalkWork:
+    """Deterministic work counts, not wall clock, pin each path's cost."""
+
+    @pytest.mark.parametrize("call", GRID_CALLS.values(), ids=GRID_CALLS.keys())
+    @pytest.mark.parametrize(
+        "n",
+        [2**63 - 25, 3037000453 * 3037000493],
+        ids=["largest-prime", "largest-balanced-semiprime"],
+    )
+    def test_large_n_walks_the_short_span_only(self, walks, call, n):
+        call(n)
+        assert walks
+        assert max(walks) <= SPAN_PAIRS
+
+    @pytest.mark.parametrize("call", GRID_CALLS.values(), ids=GRID_CALLS.keys())
+    def test_prime_at_the_crossover_walks_every_pair(self, walks, call):
+        limit = qgrid.WALK_LIMIT
+        n = max(p for p in range(limit * limit, (limit + 1) ** 2) if oracle.trial_is_prime(p))
+        call(n)
+        # one walk over every pair whose 6k-1 is at most isqrt(n)
+        assert walks == [(isqrt(n) + 1) // 6]
+
+    @pytest.mark.parametrize("call", GRID_CALLS.values(), ids=GRID_CALLS.keys())
+    def test_prime_past_the_crossover_walks_the_short_span(self, walks, call):
+        limit = qgrid.WALK_LIMIT + 1
+        n = min(p for p in range(limit * limit, (limit + 1) ** 2) if oracle.trial_is_prime(p))
+        call(n)
+        assert walks and max(walks) <= SPAN_PAIRS
 
 
 def test_max_value_is_64_bit_cap():
