@@ -134,7 +134,8 @@ def verify_range(
 
     ``classify`` and ``factorize`` default to the production pipeline; tests
     inject corrupted versions to confirm mismatches are actually caught.
-    Every ``factor_stride``-th n is also factorized both ways.
+    Every ``factor_stride``-th n is also factorized both ways; a stride of
+    0 turns that check off.
     """
     from . import pipeline  # deferred: the oracle must not depend on it at import time
 
@@ -142,6 +143,8 @@ def verify_range(
         raise ResourceLimitError(f"verify limit {limit} exceeds cap {VERIFY_LIMIT_CAP}")
     if limit < 2:
         raise ValueError("verify limit must be at least 2")
+    if factor_stride < 0:
+        raise ValueError(f"factor stride must be >= 0, got {factor_stride}")
     if strategy is None:
         strategy = pipeline.SearchStrategy.ASCENDING_SCAN
     if classify is None:

@@ -2,6 +2,11 @@
 
 The filter stages run in a fixed order: odd, last digit in {1,3,7,9},
 digital root not in {3,6,9}, residue on a prime modulus of the 24-wheel.
+Each stage reads only n mod 2, 10, 9 or 24, and all four moduli divide
+360, so the first failing stage, and the divisor 2 or 3 behind it, depend
+on n mod 360 alone.  A 360-row table built at import from the four stage
+definitions holds both, and it shows that the prime-modulus stage never
+fires: odd and free of 3 already puts n on a 6k±1 spoke.
 Survivors go to the grid stage, which settles primality exactly.  Up to
 isqrt(n) = qgrid.WALK_LIMIT one divisor walk over the 6k±1 axis does it:
 upward from 5 for the least factor, or downward from sqrt(n) for the
@@ -14,6 +19,7 @@ facts about factor pairs, not filters on the walk.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -21,7 +27,7 @@ from fractions import Fraction
 from . import qgrid
 from .errors import NoFactorsError, NotQuasiPrimeError
 from .numerics import digital_root, modulus_of, prime_moduli
-from .qgrid import MAX_VALUE, GridCoordinate, axis_index, require_int
+from .qgrid import MAX_VALUE, GridCoordinate, require_int
 
 PRIME_MODULI_24 = prime_moduli(24)
 
@@ -49,23 +55,30 @@ class SearchStrategy(str, Enum):
     BALANCED_FIRST = "balanced"
 
 
-@dataclass(frozen=True, slots=True)
-class FilterVerdict:
-    passed: bool
-    stage: Stage | None  # first failing stage when rejected
+# The hot paths read the members from here, a module-level name lookup each.
+_PRIME = VerdictKind.PRIME
+_PRIME_SPECIAL_SMALL = VerdictKind.PRIME_SPECIAL_SMALL
+_COMPOSITE = VerdictKind.COMPOSITE
+_INVALID = VerdictKind.INVALID
+_GRID_SEARCH = Stage.GRID_SEARCH
+_BALANCED_FIRST = SearchStrategy.BALANCED_FIRST
 
 
-@dataclass(frozen=True, slots=True)
-class PrimalityVerdict:
-    n: int
-    kind: VerdictKind
-    witness: int | GridCoordinate | None
-    deciding_stage: Stage | None
-    strategy: SearchStrategy
+class FilterVerdict(namedtuple("FilterVerdict", "passed stage")):
+    """Prefilter outcome; stage is the first failing Stage, None when passed."""
+
+    __slots__ = ()
+
+
+class PrimalityVerdict(namedtuple("PrimalityVerdict", "n kind witness deciding_stage strategy")):
+    """Verdict on n.  A composite's witness is 2, 3 or its GridCoordinate;
+    deciding_stage is the Stage that settled n, None for n < 4."""
+
+    __slots__ = ()
 
     @property
     def is_prime(self) -> bool:
-        return self.kind in (VerdictKind.PRIME, VerdictKind.PRIME_SPECIAL_SMALL)
+        return self.kind in (_PRIME, _PRIME_SPECIAL_SMALL)
 
     def to_json_dict(self) -> dict:
         if isinstance(self.witness, GridCoordinate):
@@ -115,25 +128,36 @@ class DensityReport:
         }
 
 
-def _classify_stage(n: int) -> Stage | None:
-    """First failing filter stage for n >= 1, or None when all four pass."""
-    if n % 2 == 0:
-        return Stage.NOT_ODD
-    if n % 10 not in (1, 3, 7, 9):
-        return Stage.LAST_DIGIT
-    if digital_root(n) in (3, 6, 9):
-        return Stage.DIGITAL_ROOT_369
-    if modulus_of(n, 24) not in PRIME_MODULI_24:
-        return Stage.NOT_PRIME_MODULUS
-    return None
+def _stage_row(m: int) -> tuple[Stage | None, int | None]:
+    """First failing filter stage of m >= 1 and the divisor 2 or 3 behind it.
 
+    The divisor is None when the stage implies none, which sends the caller
+    to the grid: the last-digit stage also hits 5 itself (prime) and the
+    multiples of 5 that live on the grid.
+    """
+    if m % 2 == 0:
+        return Stage.NOT_ODD, 2
+    if m % 10 not in (1, 3, 7, 9):
+        return Stage.LAST_DIGIT, 3 if m % 3 == 0 else None
+    if digital_root(m) in (3, 6, 9):
+        return Stage.DIGITAL_ROOT_369, 3
+    if modulus_of(m, 24) not in PRIME_MODULI_24:
+        return Stage.NOT_PRIME_MODULUS, None
+    return None, None
+
+
+# Row r serves every n = r (mod 360); 360 stands in for residue 0, since the
+# digital root and the wheel spoke are defined for positive integers only.
+_STAGE_AT = tuple(_stage_row(r or 360) for r in range(360))
 
 def prefilter(n: int) -> FilterVerdict:
     """Run the four cheap stages in order; Pass means n survives them all."""
     require_int(n)
     if n < 2:
         raise ValueError(f"prefilter is defined for n >= 2, got {n}")
-    stage = _classify_stage(n)
+    if n > MAX_VALUE:
+        raise ValueError(f"{n} exceeds the 64-bit input cap")
+    stage = _STAGE_AT[n % 360][0]
     return FilterVerdict(stage is None, stage)
 
 
@@ -161,43 +185,24 @@ def dr_pairs(r: int) -> frozenset[tuple[int, int]]:
     )
 
 
-def _small_witness(n: int, stage: Stage) -> int | None:
-    """Divisor 2 or 3 behind a filter rejection, when one is implied.
-
-    None sends the caller to the grid: the last-digit stage also hits 5
-    itself (prime) and the multiples of 5 that live on the grid.
-    """
-    if stage is Stage.NOT_ODD:
-        return 2
-    if stage is Stage.DIGITAL_ROOT_369:
-        return 3
-    if stage is Stage.LAST_DIGIT and n % 3 == 0:
-        return 3
-    # NOT_PRIME_MODULUS never fires after the earlier stages on the 24-wheel,
-    # since odd and root-of-3-free already force a 6k±1 residue.
-    return None
-
-
 def is_prime(n: int, strategy: SearchStrategy = SearchStrategy.ASCENDING_SCAN) -> PrimalityVerdict:
     """Exact staged primality verdict with a checkable witness for composites."""
-    require_int(n)
+    # Range sweeps call this once per n, so an exact int skips the call.
+    if type(n) is not int:
+        require_int(n)
     if n > MAX_VALUE:
         raise ValueError(f"{n} exceeds the 64-bit input cap")
-    if n < 2:
-        return PrimalityVerdict(n, VerdictKind.INVALID, None, None, strategy)
-    if n in (2, 3):
-        return PrimalityVerdict(n, VerdictKind.PRIME_SPECIAL_SMALL, None, None, strategy)
-    stage = _classify_stage(n)
-    if stage is not None:
-        witness = _small_witness(n, stage)
-        if witness is not None:
-            return PrimalityVerdict(n, VerdictKind.COMPOSITE, witness, stage, strategy)
-    a = qgrid.axis_divisor(n, descending=strategy is SearchStrategy.BALANCED_FIRST)
+    if n < 4:
+        kind = _INVALID if n < 2 else _PRIME_SPECIAL_SMALL
+        return PrimalityVerdict(n, kind, None, None, strategy)
+    stage, witness = _STAGE_AT[n % 360]
+    if witness is not None:
+        return PrimalityVerdict(n, _COMPOSITE, witness, stage, strategy)
+    a = qgrid.axis_divisor(n, strategy is _BALANCED_FIRST)
     if a is None:
-        return PrimalityVerdict(n, VerdictKind.PRIME, None, Stage.GRID_SEARCH, strategy)
-    coord = GridCoordinate(axis_index(a), axis_index(n // a), n)
-    deciding = stage if stage is not None else Stage.GRID_SEARCH
-    return PrimalityVerdict(n, VerdictKind.COMPOSITE, coord, deciding, strategy)
+        return PrimalityVerdict(n, _PRIME, None, _GRID_SEARCH, strategy)
+    deciding = stage if stage is not None else _GRID_SEARCH
+    return PrimalityVerdict(n, _COMPOSITE, qgrid._cell(a, n), deciding, strategy)
 
 
 def factor_on_grid(n: int, strategy: SearchStrategy = SearchStrategy.ASCENDING_SCAN) -> FactorPair:
@@ -243,17 +248,16 @@ def survivor_density(limit: int) -> DensityReport:
     """Prefilter survival statistics over [1, limit].
 
     Every n is either a survivor or rejected at exactly one stage, so the
-    counts partition the range.
+    counts partition the range.  The stage is a function of n mod 360, so
+    the counts come from the stage table in closed form: limit // 360 full
+    periods of it, plus its rows 1..limit % 360 for the last, partial one.
     """
+    require_int(limit)
     if limit < 100:
         raise ValueError(f"density needs limit >= 100, got {limit}")
-    rejections = {stage: 0 for stage in FILTER_STAGES}
-    survivors = 0
-    classify = _classify_stage
-    for n in range(1, limit + 1):
-        stage = classify(n)
-        if stage is None:
-            survivors += 1
-        else:
-            rejections[stage] += 1
-    return DensityReport(limit, survivors, Fraction(survivors, limit), rejections)
+    periods, rest = divmod(limit, 360)
+    counts = dict.fromkeys((None, *FILTER_STAGES), 0)
+    for r, (stage, _) in enumerate(_STAGE_AT):
+        counts[stage] += periods + (0 < r <= rest)
+    survivors = counts.pop(None)
+    return DensityReport(limit, survivors, Fraction(survivors, limit), counts)

@@ -107,6 +107,20 @@ class GridCoordinate:
         return axis_value(self.i), axis_value(self.j)
 
 
+def _cell(a: int, n: int) -> GridCoordinate:
+    """Cell of n for an axis divisor a <= sqrt(n) of n that a walk has proved.
+
+    v // 3 is the index of any axis value v (6t-1 -> 2t-1, 6t+1 -> 2t), and
+    a * (n // a) == n holds already, so the constructor's checks are skipped.
+    """
+    c = object.__new__(GridCoordinate)
+    fields = c.__dict__  # frozen only against attribute assignment
+    fields["i"] = a // 3
+    fields["j"] = n // a // 3
+    fields["value"] = n
+    return c
+
+
 class QuasiPrimeTag(Enum):
     PRIME_SQUARE = "prime-square"
     QUASI_PRIME = "quasi-prime"
@@ -283,7 +297,7 @@ def contains(n: int) -> GridCoordinate | None:
     a = axis_divisor(n)
     if a is None:
         return None
-    return GridCoordinate(axis_index(a), axis_index(n // a), n)
+    return _cell(a, n)
 
 
 def quasiprime_tag(c: GridCoordinate) -> QuasiPrimeTag:

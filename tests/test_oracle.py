@@ -107,6 +107,11 @@ class TestVerifyRange:
         assert report.factor_mismatches == []
         assert report.ok
 
+    def test_negative_stride_is_rejected(self):
+        # a negative stride would turn the factor check off without a word
+        with pytest.raises(ValueError, match="stride"):
+            oracle.verify_range(1000, factor_stride=-3)
+
     def test_deterministic(self):
         a = oracle.verify_range(1500, factor_stride=53)
         b = oracle.verify_range(1500, factor_stride=53)

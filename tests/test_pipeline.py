@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from quasiprime import oracle
 from quasiprime.errors import NoFactorsError, NotQuasiPrimeError
-from quasiprime.numerics import digital_root
+from quasiprime.numerics import digital_root, modulus_of, prime_moduli
 from quasiprime.pipeline import (
+    _STAGE_AT,
     FILTER_STAGES,
     FactorPair,
     SearchStrategy,
@@ -64,6 +65,65 @@ class TestPrefilter:
         for n in range(2, 10**4):
             if prefilter(n).stage is Stage.DIGITAL_ROOT_369:
                 assert n % 3 == 0
+
+
+def first_failing_stage(n):
+    """The prefilter from its stage definitions, one stage after another."""
+    if n % 2 == 0:
+        return Stage.NOT_ODD
+    if n % 10 not in (1, 3, 7, 9):
+        return Stage.LAST_DIGIT
+    if digital_root(n) in (3, 6, 9):
+        return Stage.DIGITAL_ROOT_369
+    if modulus_of(n, 24) not in prime_moduli(24):
+        return Stage.NOT_PRIME_MODULUS
+    return None
+
+
+def check_rejection_witness(n, strategy):
+    """A rejected n has witness 2, 3 or its grid cell; 5 alone is prime."""
+    stage = first_failing_stage(n)
+    v = is_prime(n, strategy)
+    if stage is None:
+        assert v.deciding_stage is Stage.GRID_SEARCH
+        return
+    if n == 5:
+        assert v.kind is VerdictKind.PRIME
+        return
+    assert v.kind is VerdictKind.COMPOSITE and v.deciding_stage is stage
+    if stage is Stage.NOT_ODD:
+        assert v.witness == 2
+    elif n % 3 == 0:
+        assert v.witness == 3
+    else:
+        assert stage is Stage.LAST_DIGIT and n % 5 == 0
+        a, b = v.witness.axis_values
+        assert a * b == n
+
+
+class TestStageTable:
+    def test_three_periods_match_the_stage_definitions(self):
+        for n in range(1, 3 * 360 + 1):
+            assert _STAGE_AT[n % 360][0] is first_failing_stage(n), n
+            if n >= 2:
+                assert prefilter(n).stage is first_failing_stage(n), n
+
+    @given(st.integers(min_value=2, max_value=2**63 - 1))
+    def test_any_input_matches_the_stage_definitions(self, n):
+        assert prefilter(n).stage is first_failing_stage(n)
+
+    @pytest.mark.parametrize("strategy", [ASC, BAL])
+    def test_rejection_witnesses_over_three_periods(self, strategy):
+        for n in range(4, 3 * 360 + 1):
+            check_rejection_witness(n, strategy)
+
+    @given(st.integers(min_value=4, max_value=2**63 - 1))
+    def test_rejection_witness_of_any_input(self, n):
+        check_rejection_witness(n, ASC)
+
+    def test_modulus_stage_is_in_no_row(self):
+        assert len(_STAGE_AT) == 360
+        assert all(stage is not Stage.NOT_PRIME_MODULUS for stage, _ in _STAGE_AT)
 
 
 class TestIsPrime:
@@ -134,6 +194,16 @@ class TestIsPrime:
         assert is_prime(97).to_json_dict()["witness"] is None
         assert is_prime(6).to_json_dict()["witness"] == 2
         assert is_prime(1).to_json_dict()["verdict"] == "invalid"
+
+    def test_verdicts_are_immutable_and_hashable(self):
+        v, f = is_prime(91), prefilter(91)
+        assert (v.n, v.kind, v.deciding_stage, v.strategy) == (91, VerdictKind.COMPOSITE, Stage.GRID_SEARCH, ASC)
+        assert (f.passed, f.stage) == (True, None)
+        for record, name in ((v, "n"), (v, "witness"), (f, "passed"), (f, "stage")):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0)
+        assert hash(v) == hash(is_prime(91)) and v == is_prime(91) and v != is_prime(91, BAL)
+        assert hash(f) == hash(prefilter(91)) and f != prefilter(35)
 
 
 def brute_digit_pairs(d):
@@ -208,6 +278,15 @@ def test_non_int_input_is_a_type_error(fn, args):
     bad = next(a for a in args if type(a) is not int)
     with pytest.raises(TypeError, match=type(bad).__name__):
         fn(*args)
+
+
+@pytest.mark.parametrize(
+    "fn", [is_prime, factor_on_grid, full_factorize, prefilter, contains], ids=lambda fn: fn.__name__
+)
+@pytest.mark.parametrize("big", [2**63, 10**30], ids=["2**63", "10**30"])
+def test_input_above_the_cap_is_a_value_error(fn, big):
+    with pytest.raises(ValueError, match="exceeds the 64-bit"):
+        fn(big)
 
 
 def divisor_pairs(n):
@@ -385,6 +464,27 @@ class TestSurvivorDensity:
     def test_rejects_small_limits(self):
         with pytest.raises(ValueError):
             survivor_density(99)
+
+    @pytest.mark.parametrize("limit", [100, 359, 360, 361, 719, 720, 721, 4321, 10**5])
+    def test_closed_form_matches_a_count(self, limit):
+        counts = {stage: 0 for stage in (None, *FILTER_STAGES)}
+        for n in range(1, limit + 1):
+            counts[first_failing_stage(n)] += 1
+        report = survivor_density(limit)
+        assert report.survivors == counts.pop(None)
+        assert report.per_stage_rejections == counts
+        assert report.fraction == Fraction(report.survivors, limit)
+
+    def test_closed_form_beyond_any_count(self):
+        # 96 of every 360 consecutive integers are coprime to 30
+        report = survivor_density(360 * 10**12)
+        assert report.survivors == 96 * 10**12
+        assert report.per_stage_rejections == {
+            Stage.NOT_ODD: 180 * 10**12,
+            Stage.LAST_DIGIT: 36 * 10**12,
+            Stage.DIGITAL_ROOT_369: 48 * 10**12,
+            Stage.NOT_PRIME_MODULUS: 0,
+        }
 
     def test_json_shape(self):
         d = survivor_density(100).to_json_dict()

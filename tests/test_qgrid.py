@@ -144,6 +144,19 @@ class TestContains:
         with pytest.raises(ResourceLimitError):
             contains(2**63)
 
+    def test_unchecked_cell_equals_the_checked_one(self):
+        # the walk's witness cell skips the constructor's checks; it must
+        # still be the cell GridCoordinate builds and accepts
+        for n in range(25, 6000):
+            if n % 6 not in (1, 5):
+                continue
+            for a in range(5, isqrt(n) + 1):
+                if n % a == 0 and a % 6 in (1, 5):
+                    cell = qgrid._cell(a, n)
+                    checked = GridCoordinate(axis_index(a), axis_index(n // a), n)
+                    assert type(cell) is GridCoordinate
+                    assert cell == checked and hash(cell) == hash(checked), (a, n)
+
 
 class TestTag:
     def test_prime_square(self):

@@ -214,6 +214,12 @@ class TestVerifyCommand:
         assert code == 0
         assert "0 primality mismatches" in out
 
+    def test_negative_factor_stride_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "verify", "--limit", "1000", "--factor-stride", "-3", "--json")
+        assert code == 2
+        assert out == ""
+        assert "factor stride" in err
+
 
 class TestDensityCommand:
     def test_json(self, capsys):
