@@ -147,6 +147,8 @@ def verify_range(
         raise ValueError(f"factor stride must be >= 0, got {factor_stride}")
     if strategy is None:
         strategy = pipeline.SearchStrategy.ASCENDING_SCAN
+    elif not isinstance(strategy, pipeline.SearchStrategy):
+        raise TypeError(f"expected a SearchStrategy, got {type(strategy).__name__}")
     if classify is None:
         classify = pipeline.is_prime
     if factorize is None:
@@ -155,10 +157,11 @@ def verify_range(
     table = sieve(limit)
     report = MismatchReport(limit=limit, strategy=str(strategy.value), factor_stride=factor_stride)
     prime_kinds = (pipeline.VerdictKind.PRIME, pipeline.VerdictKind.PRIME_SPECIAL_SMALL)
+    odd = table._odd  # read in place: every n here is within the limit
     for n in range(2, limit + 1):
         verdict = classify(n, strategy)
         claims_prime = verdict.kind in prime_kinds
-        truth = table.is_prime(n)
+        truth = odd[n >> 1] == 1 if n & 1 else n == 2
         if claims_prime != truth:
             report.mismatches.append(
                 (n, verdict.kind.value, "prime" if truth else "composite")

@@ -8,13 +8,14 @@ on n mod 360 alone.  A 360-row table built at import from the four stage
 definitions holds both, and it shows that the prime-modulus stage never
 fires: odd and free of 3 already puts n on a 6k±1 spoke.
 Survivors go to the grid stage, which settles primality exactly.  Up to
-isqrt(n) = qgrid.WALK_LIMIT one divisor walk over the 6k±1 axis does it:
-upward from 5 for the least factor, or downward from sqrt(n) for the
-balanced pair.  Above that the walk covers a short span only, and then
-deterministic Miller-Rabin, exact on the whole 64-bit domain, decides
-primality and Pollard-Brent rho factors the composites, so the witnesses
-are the same.  The last-digit and digital-root pair tables are tested
-facts about factor pairs, not filters on the walk.
+qgrid.TABLE_CAP, isqrt(n) = qgrid.WALK_LIMIT, a least-axis-factor table
+over the 6k±1 slots does it without trial division: one lookup gives the
+least factor, and the balanced pair comes from the factors it gives.
+Above that a walk covers a short span only, and then deterministic
+Miller-Rabin, exact on the whole 64-bit domain, decides primality and
+Pollard-Brent rho factors the composites, so the witnesses are the same.
+The last-digit and digital-root pair tables are tested facts about factor
+pairs, not filters on the grid search.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ _PRIME_SPECIAL_SMALL = VerdictKind.PRIME_SPECIAL_SMALL
 _COMPOSITE = VerdictKind.COMPOSITE
 _INVALID = VerdictKind.INVALID
 _GRID_SEARCH = Stage.GRID_SEARCH
+_ASCENDING_SCAN = SearchStrategy.ASCENDING_SCAN
 _BALANCED_FIRST = SearchStrategy.BALANCED_FIRST
 
 
@@ -187,9 +189,17 @@ def dr_pairs(r: int) -> frozenset[tuple[int, int]]:
 
 def is_prime(n: int, strategy: SearchStrategy = SearchStrategy.ASCENDING_SCAN) -> PrimalityVerdict:
     """Exact staged primality verdict with a checkable witness for composites."""
-    # Range sweeps call this once per n, so an exact int skips the call.
+    # Range sweeps call this once per n, so an exact int skips the call, and
+    # the strategy costs one identity check or two.  A plain string equals a
+    # member but is not one, so it is refused rather than read as asc.
     if type(n) is not int:
         require_int(n)
+    if strategy is _ASCENDING_SCAN:
+        descending = False
+    elif strategy is _BALANCED_FIRST:
+        descending = True
+    else:
+        raise TypeError(f"expected a SearchStrategy, got {type(strategy).__name__}")
     if n > MAX_VALUE:
         raise ValueError(f"{n} exceeds the 64-bit input cap")
     if n < 4:
@@ -198,7 +208,7 @@ def is_prime(n: int, strategy: SearchStrategy = SearchStrategy.ASCENDING_SCAN) -
     stage, witness = _STAGE_AT[n % 360]
     if witness is not None:
         return PrimalityVerdict(n, _COMPOSITE, witness, stage, strategy)
-    a = qgrid.axis_divisor(n, strategy is _BALANCED_FIRST)
+    a = qgrid.axis_divisor(n, descending)
     if a is None:
         return PrimalityVerdict(n, _PRIME, None, _GRID_SEARCH, strategy)
     deciding = stage if stage is not None else _GRID_SEARCH
@@ -212,6 +222,8 @@ def factor_on_grid(n: int, strategy: SearchStrategy = SearchStrategy.ASCENDING_S
     factor); BalancedFirst returns the pair minimizing b - a.
     """
     require_int(n)
+    if not isinstance(strategy, SearchStrategy):
+        raise TypeError(f"expected a SearchStrategy, got {type(strategy).__name__}")
     if n > MAX_VALUE:
         raise ValueError(f"{n} exceeds the 64-bit input cap")
     if n < 2:
@@ -228,8 +240,8 @@ def full_factorize(n: int) -> list[int]:
     """Sorted prime multiset of n.
 
     Factors 2 and 3 sit outside the quasi-prime domain; they are stripped
-    first, then one upward walk over the grid axis splits off the rest,
-    handing the cofactor to Miller-Rabin and rho above the walk's crossover.
+    first, then the grid axis splits off the rest: table lookups up to
+    qgrid.TABLE_CAP, and above it a short walk, Miller-Rabin and rho.
     """
     require_int(n)
     if n > MAX_VALUE:

@@ -6,12 +6,15 @@ product of the i-th and j-th axis values.  The cells are exactly the
 composites coprime to 6, so membership decides primality for any
 number on the prime moduli.
 
-The grid is never materialized beyond bounded display regions.
-Membership is exact, never probabilistic.  While isqrt(n) <= WALK_LIMIT a
-divisor walk over the axis values up to sqrt(n) settles it.  Above that, a
-short walk over the axis values up to SMALL_SPAN comes first, then
-deterministic Miller-Rabin on at most the first 12 prime bases, which is
-exact below 3.18e23 (Sorenson & Webster, Math. Comp. 2017), far above
+Membership is exact, never probabilistic.  Up to TABLE_CAP, the n with
+isqrt(n) <= WALK_LIMIT, the grid is materialized as a least-axis-factor
+table: slot n // 3 of each n coprime to 6 holds the (6k-1, 6k+1) pair of
+n's least prime factor, so a lookup replaces trial division.  It is the
+least-prime-factor sieve (Gries & Misra, CACM 1978) restricted to the
+wheel's 6k±1 slots (Pritchard, CACM 1981), grown on first need.  Above
+the cap, a short walk over the axis values up to SMALL_SPAN comes first,
+then deterministic Miller-Rabin on at most the first 12 prime bases, which
+is exact below 3.18e23 (Sorenson & Webster, Math. Comp. 2017), far above
 MAX_VALUE, and Pollard-Brent rho (Brent, BIT 1980) splits the composites.
 """
 
@@ -26,12 +29,20 @@ from .numerics import digital_root
 
 MAX_VALUE = 2**63 - 1
 REGION_CELL_CAP = 10**4
-# The full walk while isqrt(n) <= WALK_LIMIT, else a walk over the axis values
-# up to SMALL_SPAN, then Miller-Rabin and rho.  Summed over primes, near-
-# balanced semiprimes and random n, both strategies and full_factorize, the
-# two cost the same near isqrt(n) = 800 on CPython 3.11.
+# n with isqrt(n) <= WALK_LIMIT read the table; larger n take a walk over the
+# axis values up to SMALL_SPAN, then Miller-Rabin and rho.  Summed over primes,
+# near-balanced semiprimes and random n, both strategies and full_factorize, a
+# full axis walk and the latter cost the same near isqrt(n) = 800 on CPython 3.11.
 WALK_LIMIT = 800
 SMALL_SPAN = 300
+TABLE_CAP = (WALK_LIMIT + 1) ** 2 - 1
+_TABLE_MIN = 1024  # the least bound grown to: 342 bytes
+# Slot n // 3 of each n coprime to 6 holds k for n's least prime factor 6k-1 or
+# 6k+1, and 0 when n is 1 or prime; k <= (WALK_LIMIT + 1) // 6 fits a byte.
+# Empty until first needed, then rebuilt over a larger bound as n grows.  Its
+# bytes depend on its length alone, so every caller can share it.
+_lpf = bytearray()
+_PRIMES_5_TO_23 = 5 * 7 * 11 * 13 * 17 * 19 * 23  # the product of the axis primes below 29
 # (a, psi_k): the k-th prime base and the least composite that passes the
 # first k of them (Jaeschke, Math. Comp. 1993; Jiang & Deng, Math. Comp.
 # 2014; Sorenson & Webster, Math. Comp. 2017).  psi_12 > 3.18e23 > MAX_VALUE.
@@ -137,27 +148,34 @@ def grid_value(i: int, j: int) -> int:
 def axis_divisor(n: int, descending: bool = False) -> int | None:
     """Axis divisor of n no larger than sqrt(n); None when there is none.
 
-    n must be coprime to 6, so every divisor above 1 lies on the axis.  Up to
-    the crossover the walk tests the axis in (6k-1, 6k+1) pairs, upward from
-    5 for the least divisor (the least prime factor), or with ``descending``
-    downward from isqrt(n) for the largest one, whose pair (a, n // a) is
-    nearest the reflection line.  Above it the walk covers SMALL_SPAN only
-    (the small factors going up, the stretch below sqrt(n) going down), and
-    the answer otherwise comes from n's prime factors.  None means n is 1 or
-    prime.
+    n must be coprime to 6, so every divisor above 1 lies on the axis.  The
+    least one is the least prime factor; with ``descending`` the largest
+    one, whose pair (a, n // a) is nearest the reflection line.  Up to
+    TABLE_CAP the table gives the least prime factor p, and the largest
+    divisor is p when n // p is prime, else it comes from n's prime factors.
+    Above it a walk covers SMALL_SPAN only (the small factors going up, the
+    stretch below sqrt(n) going down), and the answer otherwise comes from
+    n's prime factors.  None means n is 1 or prime.
     """
+    if n <= TABLE_CAP:
+        try:
+            k = _lpf[n // 3]
+        except IndexError:
+            k = _grow(n)[n // 3]
+        if not k:
+            return None
+        p = 6 * k - 1
+        if n % p:
+            p += 2
+        if descending and axis_divisor(n // p) is not None:
+            return _largest_divisor(axis_factors(n), isqrt(n))
+        return p
     r = isqrt(n)
-    if r <= WALK_LIMIT:
-        lows = range(_pair_start(r), 4, -6) if descending else range(5, r + 1, 6)
-        return _walk(n, lows, descending)
     if descending:
         a = _walk(n, range(_pair_start(r), r - SMALL_SPAN, -6), True)
         if a is not None or _is_prime_mr(n):
             return a
-        divisors = {1}  # those <= r: each one's partial products are <= r too
-        for p in axis_factors(n):
-            divisors |= {d * p for d in divisors if d * p <= r}
-        return max(divisors)
+        return _largest_divisor(axis_factors(n), r)
     a = _walk(n, range(5, SMALL_SPAN + 1, 6), False)
     if a is not None or _is_prime_mr(n):
         return a
@@ -167,25 +185,58 @@ def axis_divisor(n: int, descending: bool = False) -> int | None:
 def axis_factors(n: int) -> list[int]:
     """Prime factors of n, ascending; n must be coprime to 6.
 
-    Every prime factor of the cofactor is at least the factor just split
-    off, so each upward walk resumes at the pair holding that factor
-    instead of at 5.  Above the crossover the walk stops at SMALL_SPAN and
-    Miller-Rabin and rho factor what is left.
+    Up to TABLE_CAP each factor is one table lookup.  Above it the walk
+    stops at SMALL_SPAN, resuming after each factor it splits off at that
+    factor's pair, and Miller-Rabin and rho factor what is left.
     """
     factors: list[int] = []
     low = 5
-    while n > 1:
-        r = isqrt(n)
-        if r > WALK_LIMIT:
-            p = _walk(n, range(low, SMALL_SPAN + 1, 6), False)
-            if p is None:
-                return factors + sorted(_split(n))
-        else:
-            p = _walk(n, range(low, r + 1, 6), False) or n  # None: n is prime
+    while n > TABLE_CAP:
+        p = _walk(n, range(low, SMALL_SPAN + 1, 6), False)
+        if p is None:
+            return factors + sorted(_split(n))
         factors.append(p)
         n //= p
         low = _pair_start(p)
+    while n > 1:
+        p = axis_divisor(n) or n  # None: n is prime
+        factors.append(p)
+        n //= p
     return factors
+
+
+def _grow(n: int) -> bytearray:
+    """Build the table over the least power of two >= n, within [_TABLE_MIN, TABLE_CAP].
+
+    Each axis value p writes its pair index to the slots of p*m for the axis
+    values m >= p, in two progressions of step 2p (m = p and the next axis
+    value, each + 6t).  The values go in descending order, so the least
+    factor of each slot is written last.  Every axis prime up to the root
+    of the slots' largest n is written, so each slot held is exact.  A
+    composite axis value is skipped when a factor from 5 to 23 shows it,
+    since its least prime factor comes later and covers its slots; below
+    29**2 = 841 > WALK_LIMIT every composite axis value has such a factor.
+    """
+    global _lpf
+    limit = min(max(1 << (n - 1).bit_length(), _TABLE_MIN), TABLE_CAP)
+    table = bytearray(limit // 3 + 1)
+    size = len(table)
+    for p in range(isqrt(3 * size - 1), 4, -1):
+        if (p % 6 == 1 or p % 6 == 5) and (p < 29 or gcd(p, _PRIMES_5_TO_23) == 1):
+            mark = bytes([(p + 1) // 6])
+            for m in (p, p + 2 if p % 6 == 5 else p + 4):
+                start = p * m // 3
+                table[start::2 * p] = mark * len(range(start, size, 2 * p))
+    _lpf = table
+    return table
+
+
+def _largest_divisor(factors: list[int], r: int) -> int:
+    """Largest product of a sub-multiset of factors that is <= r."""
+    divisors = {1}  # those <= r: each one's partial products are <= r too
+    for p in factors:
+        divisors |= {d * p for d in divisors if d * p <= r}
+    return max(divisors)
 
 
 def _pair_start(v: int) -> int:

@@ -1,4 +1,4 @@
-"""Importing the package loads nothing beyond the standard library.
+"""Importing the package loads nothing beyond the standard library and builds no table.
 
 The check counts modules rather than milliseconds, so a heavy runtime
 dependency cannot creep back into `import quasiprime` unnoticed.
@@ -28,3 +28,24 @@ def test_import_adds_only_standard_library_modules():
         [sys.executable, "-c", PROBE], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout == "[]\n"
+
+
+# The least-axis-factor table is grown on first need, so neither the import
+# nor a one-shot small call pays for the whole of it.
+TABLE_PROBE = """
+import quasiprime
+from quasiprime import qgrid
+print(len(qgrid._lpf))
+quasiprime.is_prime(91)
+print(len(qgrid._lpf))
+"""
+
+
+def test_import_builds_no_table_and_a_small_call_a_small_one():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    result = subprocess.run(
+        [sys.executable, "-c", TABLE_PROBE], env=env, capture_output=True, text=True, check=True
+    )
+    at_import, after_91 = map(int, result.stdout.split())
+    assert at_import == 0
+    assert 0 < after_91 <= 342

@@ -281,6 +281,16 @@ def test_non_int_input_is_a_type_error(fn, args):
 
 
 @pytest.mark.parametrize(
+    "fn", [is_prime, factor_on_grid, oracle.verify_range], ids=lambda fn: fn.__name__
+)
+@pytest.mark.parametrize("bad", ["balanced", "asc", 1], ids=["balanced-str", "asc-str", "int"])
+def test_strategy_other_than_a_member_is_a_type_error(fn, bad):
+    # "balanced" == BALANCED_FIRST, yet it is not the member, so it is refused, not run as asc
+    with pytest.raises(TypeError, match=type(bad).__name__):
+        fn(175, bad)
+
+
+@pytest.mark.parametrize(
     "fn", [is_prime, factor_on_grid, full_factorize, prefilter, contains], ids=lambda fn: fn.__name__
 )
 @pytest.mark.parametrize("big", [2**63, 10**30], ids=["2**63", "10**30"])

@@ -268,6 +268,7 @@ GRID_CALLS = {
 
 
 SPAN_PAIRS = (qgrid.SMALL_SPAN + 5) // 6  # the pairs of any stretch of SMALL_SPAN, rounded up
+CAP_PRIME = max(p for p in range(qgrid.TABLE_CAP - 1000, qgrid.TABLE_CAP + 1) if oracle.trial_is_prime(p))
 
 
 class TestWalkWork:
@@ -285,12 +286,15 @@ class TestWalkWork:
         assert max(walks) <= SPAN_PAIRS
 
     @pytest.mark.parametrize("call", GRID_CALLS.values(), ids=GRID_CALLS.keys())
-    def test_prime_at_the_crossover_walks_every_pair(self, walks, call):
-        limit = qgrid.WALK_LIMIT
-        n = max(p for p in range(limit * limit, (limit + 1) ** 2) if oracle.trial_is_prime(p))
+    @pytest.mark.parametrize(
+        "n",
+        [CAP_PRIME, 5 * 7 * 7 * 11 * 13 * 17],
+        ids=["largest-prime-to-the-cap", "composite-below-the-cap"],
+    )
+    def test_up_to_the_cap_walks_no_pair(self, walks, call, n):
+        # the table answers every path there, the balanced divisor set included
         call(n)
-        # one walk over every pair whose 6k-1 is at most isqrt(n)
-        assert walks == [(isqrt(n) + 1) // 6]
+        assert walks == []
 
     @pytest.mark.parametrize("call", GRID_CALLS.values(), ids=GRID_CALLS.keys())
     def test_prime_past_the_crossover_walks_the_short_span(self, walks, call):
@@ -298,6 +302,68 @@ class TestWalkWork:
         n = min(p for p in range(limit * limit, (limit + 1) ** 2) if oracle.trial_is_prime(p))
         call(n)
         assert walks and max(walks) <= SPAN_PAIRS
+
+
+@pytest.fixture
+def fresh_table(monkeypatch):
+    """The least-axis-factor table emptied, as at import, and restored after the test."""
+    monkeypatch.setattr(qgrid, "_lpf", bytearray())
+
+
+def grid_answers(n):
+    """(least axis divisor, largest axis divisor <= sqrt(n), prime factors) from qgrid."""
+    return qgrid.axis_divisor(n), qgrid.axis_divisor(n, descending=True), full_factorize(n)
+
+
+def reference_answers(n):
+    """The same triple by trial division; n is coprime to 6, so every divisor is on the axis."""
+    factors = oracle.trial_factor(n)
+    divisors = [d for d in range(5, isqrt(n) + 1) if n % d == 0]
+    return (divisors[0] if divisors else None), (divisors[-1] if divisors else None), factors
+
+
+GROWTH_BOUNDS = [2**k + e for k in range(10, 20) for e in (0, 1)] + [qgrid.TABLE_CAP, qgrid.TABLE_CAP + 1]
+AXIS_PRIME_PRODUCTS = [797 * 797, 787 * 797, 787 * 787]  # the two largest axis primes <= WALK_LIMIT
+
+
+def near(bound):
+    """The n coprime to 6 within 6 of bound: the last ones below it and the first above."""
+    return [n for n in range(bound - 6, bound + 7) if n % 6 in (1, 5)]
+
+
+@pytest.mark.usefixtures("fresh_table")
+class TestLeastFactorTable:
+    def test_least_factor_matches_trial_division_up_to_the_cap(self):
+        for n in range(5, qgrid.TABLE_CAP + 1):
+            if n % 6 in (1, 5):
+                factors = oracle.trial_factor(n)
+                assert qgrid.axis_divisor(n) == (factors[0] if len(factors) > 1 else None), n
+
+    @pytest.mark.parametrize("bound", GROWTH_BOUNDS + AXIS_PRIME_PRODUCTS)
+    def test_answers_at_a_bound(self, monkeypatch, bound):
+        assert full_factorize(bound) == oracle.trial_factor(bound)
+        for n in near(bound):
+            monkeypatch.setattr(qgrid, "_lpf", bytearray())  # grown by this n alone
+            assert grid_answers(n) == reference_answers(n), n
+        for n in near(bound):  # grown by the n below it first
+            assert grid_answers(n) == reference_answers(n), n
+
+    def test_call_order_does_not_change_the_answers(self, monkeypatch):
+        ns = [n for bound in GROWTH_BOUNDS + AXIS_PRIME_PRODUCTS for n in near(bound)]
+        ascending = {n: grid_answers(n) for n in ns}
+        grown_up = qgrid._lpf
+        monkeypatch.setattr(qgrid, "_lpf", bytearray())
+        descending = {n: grid_answers(n) for n in reversed(ns)}
+        assert descending == ascending
+        assert qgrid._lpf == grown_up
+
+    def test_growth_stays_within_the_cap(self):
+        qgrid.axis_divisor(91)
+        assert len(qgrid._lpf) == 1024 // 3 + 1
+        qgrid.axis_divisor(qgrid.TABLE_CAP - 1)
+        assert len(qgrid._lpf) == qgrid.TABLE_CAP // 3 + 1
+        qgrid.axis_divisor(qgrid.TABLE_CAP + 3)  # above the cap: no table
+        assert len(qgrid._lpf) == qgrid.TABLE_CAP // 3 + 1
 
 
 def test_max_value_is_64_bit_cap():
