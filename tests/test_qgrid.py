@@ -268,7 +268,6 @@ GRID_CALLS = {
 
 
 SPAN_PAIRS = (qgrid.SMALL_SPAN + 5) // 6  # the pairs of any stretch of SMALL_SPAN, rounded up
-CAP_PRIME = max(p for p in range(qgrid.TABLE_CAP - 1000, qgrid.TABLE_CAP + 1) if oracle.trial_is_prime(p))
 
 
 class TestWalkWork:
@@ -286,11 +285,18 @@ class TestWalkWork:
         assert max(walks) <= SPAN_PAIRS
 
     @pytest.mark.parametrize("call", GRID_CALLS.values(), ids=GRID_CALLS.keys())
-    @pytest.mark.parametrize(
-        "n",
-        [CAP_PRIME, 5 * 7 * 7 * 11 * 13 * 17],
-        ids=["largest-prime-to-the-cap", "composite-below-the-cap"],
-    )
+    @pytest.mark.usefixtures("fresh_table")
+    def test_prime_at_the_crossover_walks_every_pair(self, walks, call):
+        limit = qgrid.WALK_LIMIT
+        n = max(p for p in range(limit * limit, (limit + 1) ** 2) if oracle.trial_is_prime(p))
+        call(n)
+        # every pair whose 6k-1 is at most WALK_LIMIT is sieved once into the
+        # table, grown from empty to the cap, and none is walked
+        assert walks == []
+        assert n <= qgrid.TABLE_CAP and len(qgrid._lpf) == qgrid.TABLE_CAP // 3 + 1
+
+    @pytest.mark.parametrize("call", GRID_CALLS.values(), ids=GRID_CALLS.keys())
+    @pytest.mark.parametrize("n", [5 * 7 * 7 * 11 * 13 * 17], ids=["composite-below-the-cap"])
     def test_up_to_the_cap_walks_no_pair(self, walks, call, n):
         # the table answers every path there, the balanced divisor set included
         call(n)
