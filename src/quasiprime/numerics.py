@@ -6,9 +6,15 @@ All functions are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from math import gcd
+
+
+def require_int(n) -> None:
+    """Reject anything but a plain int, bool included, before it meets the arithmetic."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise TypeError(f"expected an int, got {type(n).__name__}")
 
 
 class TripletClass(Enum):
@@ -25,6 +31,8 @@ def digital_root(n: int) -> int:
     Equals 1 + (n-1) mod 9, which is what repeatedly summing decimal
     digits converges to.
     """
+    if type(n) is not int:
+        require_int(n)
     if n < 1:
         raise ValueError(f"digital root is defined for positive integers, got {n}")
     return 1 + (n - 1) % 9
@@ -65,6 +73,8 @@ def fibonacci_dr_cycle() -> list[int]:
 
 
 def _check_sides(sides: int) -> None:
+    if type(sides) is not int:
+        require_int(sides)
     if sides < 6 or sides % 6 != 0:
         raise ValueError(f"wheel sides must be a positive multiple of 6, got {sides}")
 
@@ -75,6 +85,8 @@ def modulus_of(n: int, sides: int) -> int:
     Positions run 1..sides, so n = sides sits on spoke ``sides`` and
     n = sides+1 wraps back to spoke 1.
     """
+    if type(n) is not int:
+        require_int(n)
     if n < 1:
         raise ValueError(f"wheel positions start at 1, got {n}")
     _check_sides(sides)
@@ -97,17 +109,18 @@ def admissible_moduli(sides: int) -> frozenset[int]:
     return frozenset(r for r in range(1, sides + 1) if gcd(r, sides) == 1)
 
 
-@dataclass(frozen=True)
-class WheelConfig:
+class WheelConfig(namedtuple("WheelConfig", "sides rings")):
     """An s-sided wheel (s a multiple of 6) with ``rings`` concentric rows."""
 
-    sides: int
-    rings: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_sides(self.sides)
-        if self.rings < 1:
-            raise ValueError(f"rings must be positive, got {self.rings}")
+    def __new__(cls, sides: int, rings: int):
+        _check_sides(sides)
+        if type(rings) is not int:
+            require_int(rings)
+        if rings < 1:
+            raise ValueError(f"rings must be positive, got {rings}")
+        return tuple.__new__(cls, (sides, rings))
 
     @property
     def prime_moduli(self) -> frozenset[int]:

@@ -7,11 +7,11 @@ digital-root machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import compress
 from math import isqrt
 from typing import Callable, Iterable
 
+from ._report import Report
 from .errors import ResourceLimitError
 
 SIEVE_LIMIT_CAP = 10**8
@@ -98,15 +98,25 @@ def trial_factor(n: int) -> list[int]:
     return factors
 
 
-@dataclass
-class MismatchReport:
-    """Outcome of checking the pipeline against the sieve on [2, limit]."""
+class MismatchReport(Report):
+    """Outcome of checking the pipeline against the sieve on [2, limit].
 
-    limit: int
-    strategy: str
-    factor_stride: int
-    mismatches: list[tuple[int, str, str]] = field(default_factory=list)
-    factor_mismatches: list[tuple[int, list[int], list[int]]] = field(default_factory=list)
+    Each report starts with lists of its own when none are given.
+    """
+
+    def __init__(
+        self,
+        limit: int,
+        strategy: str,
+        factor_stride: int,
+        mismatches: list[tuple[int, str, str]] | None = None,
+        factor_mismatches: list[tuple[int, list[int], list[int]]] | None = None,
+    ):
+        self.limit = limit
+        self.strategy = strategy
+        self.factor_stride = factor_stride
+        self.mismatches = [] if mismatches is None else mismatches
+        self.factor_mismatches = [] if factor_mismatches is None else factor_mismatches
 
     @property
     def ok(self) -> bool:

@@ -21,14 +21,13 @@ pairs, not filters on the grid search.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 from . import qgrid
+from ._report import Report
 from .errors import NoFactorsError, NotQuasiPrimeError
-from .numerics import digital_root, modulus_of, prime_moduli
-from .qgrid import MAX_VALUE, GridCoordinate, require_int
+from .numerics import digital_root, modulus_of, prime_moduli, require_int
+from .qgrid import MAX_VALUE, GridCoordinate
 
 PRIME_MODULI_24 = prime_moduli(24)
 
@@ -96,28 +95,32 @@ class PrimalityVerdict(namedtuple("PrimalityVerdict", "n kind witness deciding_s
         }
 
 
-@dataclass(frozen=True, slots=True)
-class FactorPair:
-    a: int
-    b: int
+class FactorPair(namedtuple("FactorPair", "a b")):
+    """Axis pair (a, b), a <= b, both on the 6k±1 moduli."""
 
-    def __post_init__(self):
-        if not (5 <= self.a <= self.b):
-            raise ValueError(f"need 5 <= a <= b, got ({self.a}, {self.b})")
-        if self.a % 6 not in (1, 5) or self.b % 6 not in (1, 5):
-            raise ValueError(f"factor pair ({self.a}, {self.b}) is off the 6k±1 moduli")
+    __slots__ = ()
+
+    def __new__(cls, a: int, b: int):
+        if not (5 <= a <= b):
+            raise ValueError(f"need 5 <= a <= b, got ({a}, {b})")
+        if a % 6 not in (1, 5) or b % 6 not in (1, 5):
+            raise ValueError(f"factor pair ({a}, {b}) is off the 6k±1 moduli")
+        return tuple.__new__(cls, (a, b))
 
     @property
     def product(self) -> int:
         return self.a * self.b
 
 
-@dataclass
-class DensityReport:
-    limit: int
-    survivors: int
-    fraction: Fraction
-    per_stage_rejections: dict[Stage, int]
+class DensityReport(Report):
+    """Prefilter survivors over [1, limit], their share of it as a
+    ``fractions.Fraction``, and the rejections at each stage."""
+
+    def __init__(self, limit: int, survivors: int, fraction, per_stage_rejections: dict[Stage, int]):
+        self.limit = limit
+        self.survivors = survivors
+        self.fraction = fraction
+        self.per_stage_rejections = per_stage_rejections
 
     def to_json_dict(self) -> dict:
         return {
@@ -147,6 +150,11 @@ def _stage_row(m: int) -> tuple[Stage | None, int | None]:
         return Stage.NOT_PRIME_MODULUS, None
     return None, None
 
+
+# fractions.Fraction, imported by the first density report rather than at
+# import: fractions loads decimal, which no verdict needs.  A global, since an
+# import statement in the call costs far more than its lookup.
+_Fraction = None
 
 # Row r serves every n = r (mod 360); 360 stands in for residue 0, since the
 # digital root and the wheel spoke are defined for positive integers only.
@@ -267,9 +275,13 @@ def survivor_density(limit: int) -> DensityReport:
     require_int(limit)
     if limit < 100:
         raise ValueError(f"density needs limit >= 100, got {limit}")
+    global _Fraction
+    if _Fraction is None:
+        from fractions import Fraction as _Fraction
+
     periods, rest = divmod(limit, 360)
     counts = dict.fromkeys((None, *FILTER_STAGES), 0)
     for r, (stage, _) in enumerate(_STAGE_AT):
         counts[stage] += periods + (0 < r <= rest)
     survivors = counts.pop(None)
-    return DensityReport(limit, survivors, Fraction(survivors, limit), counts)
+    return DensityReport(limit, survivors, _Fraction(survivors, limit), counts)

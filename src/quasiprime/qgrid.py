@@ -20,12 +20,12 @@ MAX_VALUE, and Pollard-Brent rho (Brent, BIT 1980) splits the composites.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from math import gcd, isqrt
 
 from .errors import NotOnPrimeModuliError, ResourceLimitError
-from .numerics import digital_root
+from .numerics import digital_root, require_int
 
 MAX_VALUE = 2**63 - 1
 REGION_CELL_CAP = 10**4
@@ -63,12 +63,6 @@ _MR_ROUNDS = (
 _RHO_BATCH = 128  # rho steps whose differences share one gcd
 
 
-def require_int(n) -> None:
-    """Reject anything but a plain int, bool included, before it meets the arithmetic."""
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise TypeError(f"expected an int, got {type(n).__name__}")
-
-
 def axis_value(k: int) -> int:
     """k-th axis value: a(2t-1) = 6t-1, a(2t) = 6t+1, so a(1) = 5, a(2) = 7, ..."""
     # Every witness runs both axis helpers twice, so an exact int skips the call.
@@ -97,21 +91,19 @@ def axis_index(v: int) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
-class GridCoordinate:
+class GridCoordinate(namedtuple("GridCoordinate", "i j value")):
     """Cell (i, j), i <= j, holding the product of axis values i and j."""
 
-    i: int
-    j: int
-    value: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if type(self.value) is not int:
-            require_int(self.value)
-        if not (1 <= self.i <= self.j):
-            raise ValueError(f"need 1 <= i <= j, got ({self.i}, {self.j})")
-        if self.value != axis_value(self.i) * axis_value(self.j):
-            raise ValueError(f"value {self.value} does not match cell ({self.i}, {self.j})")
+    def __new__(cls, i: int, j: int, value: int):
+        if type(value) is not int:
+            require_int(value)
+        if not (1 <= i <= j):
+            raise ValueError(f"need 1 <= i <= j, got ({i}, {j})")
+        if value != axis_value(i) * axis_value(j):
+            raise ValueError(f"value {value} does not match cell ({i}, {j})")
+        return tuple.__new__(cls, (i, j, value))
 
     @property
     def axis_values(self) -> tuple[int, int]:
@@ -124,12 +116,7 @@ def _cell(a: int, n: int) -> GridCoordinate:
     v // 3 is the index of any axis value v (6t-1 -> 2t-1, 6t+1 -> 2t), and
     a * (n // a) == n holds already, so the constructor's checks are skipped.
     """
-    c = object.__new__(GridCoordinate)
-    fields = c.__dict__  # frozen only against attribute assignment
-    fields["i"] = a // 3
-    fields["j"] = n // a // 3
-    fields["value"] = n
-    return c
+    return tuple.__new__(GridCoordinate, (a // 3, n // a // 3, n))
 
 
 class QuasiPrimeTag(Enum):
@@ -374,4 +361,6 @@ def region(i_lo: int, i_hi: int, j_lo: int, j_hi: int) -> list[list[int]]:
         raise ResourceLimitError(f"region of {cells} cells exceeds cap {REGION_CELL_CAP}")
     rows = [axis_value(i) for i in range(i_lo, i_hi + 1)]
     cols = [axis_value(j) for j in range(j_lo, j_hi + 1)]
+    if rows[-1] * cols[-1] > MAX_VALUE:  # both axes ascend, so this cell is the largest
+        raise ResourceLimitError(f"cell ({i_hi}, {j_hi}) exceeds the 64-bit cap")
     return [[a * b for b in cols] for a in rows]

@@ -4,19 +4,23 @@ Subcommands: prime, factor, qgrid, wheel, verify, bench, density.  Every
 command renders text by default and JSON under --json.  Exit codes:
 0 success (quiet prime mode: 0 = prime, 1 = composite), 2 usage error,
 3 internal error.  Verify exits 1 when mismatches exist.
+
+Each qprime process compiles what it imports, so the sieve oracle is
+imported only by the commands that check against it (wheel, verify, bench)
+and json only under --json.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 
-from . import oracle, pipeline, qgrid
+from . import pipeline, qgrid
+from ._report import Report
 from .errors import ConsistencyError, ResourceLimitError
 from .numerics import modulus_of, prime_moduli
 from .pipeline import SearchStrategy, Stage, VerdictKind
@@ -30,14 +34,10 @@ MAX_LIMIT_ENV = "QP_MAX_LIMIT"
 # wheel rendering
 
 
-@dataclass(frozen=True)
-class WheelRender:
+class WheelRender(namedtuple("WheelRender", "sides limit highlighted primes")):
     """Everything the SVG emitter needs: geometry plus verified primality."""
 
-    sides: int
-    limit: int
-    highlighted: frozenset[int]
-    primes: frozenset[int]
+    __slots__ = ()
 
     @property
     def rings(self) -> int:
@@ -50,6 +50,8 @@ def build_wheel_render(sides: int, limit: int) -> WheelRender:
     Aborts with ConsistencyError if the two ever disagree, or if any prime
     above 3 sits off the highlighted spokes.
     """
+    from . import oracle
+
     highlighted = prime_moduli(sides)
     if limit < 1:
         raise ValueError(f"wheel limit must be positive, got {limit}")
@@ -132,21 +134,31 @@ def emit_wheel_svg(render: WheelRender) -> str:
 # benchmark harness
 
 
-@dataclass
-class BenchReport:
+class BenchReport(Report):
     """Timing comparison of the staged pipeline against naive trial division.
 
     Both timings are informational; no speedup figure is asserted anywhere.
     """
 
-    limit: int
-    pipeline_seconds: float
-    trial_division_seconds: float
-    primes_found: int
-    survivors: int
-    fraction: float
-    per_stage_rejections: dict[Stage, int]
-    notes: str
+    def __init__(
+        self,
+        limit: int,
+        pipeline_seconds: float,
+        trial_division_seconds: float,
+        primes_found: int,
+        survivors: int,
+        fraction: float,
+        per_stage_rejections: dict[Stage, int],
+        notes: str,
+    ):
+        self.limit = limit
+        self.pipeline_seconds = pipeline_seconds
+        self.trial_division_seconds = trial_division_seconds
+        self.primes_found = primes_found
+        self.survivors = survivors
+        self.fraction = fraction
+        self.per_stage_rejections = per_stage_rejections
+        self.notes = notes
 
     def to_json_dict(self) -> dict:
         return {
@@ -165,6 +177,8 @@ class BenchReport:
 
 def bench(limit: int, strategy: SearchStrategy = SearchStrategy.ASCENDING_SCAN) -> BenchReport:
     """Time staged primality and trial division over [2, limit]."""
+    from . import oracle
+
     if limit > BENCH_LIMIT_CAP:
         raise ResourceLimitError(f"bench limit {limit} exceeds cap {BENCH_LIMIT_CAP}")
     if limit < 100:
@@ -322,6 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(payload: dict, text: str, as_json: bool) -> None:
     if as_json:
+        import json
+
         print(json.dumps(payload, sort_keys=False))
     else:
         print(text)
@@ -387,6 +403,8 @@ def _cmd_wheel(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import oracle
+
     _check_env_cap(args.limit)
     report = oracle.verify_range(
         args.limit,

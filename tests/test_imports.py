@@ -1,4 +1,5 @@
-"""Importing the package loads nothing beyond the standard library and builds no table.
+"""Importing the package loads nothing beyond the standard library, nothing
+its commands do not use, and builds no table; it still exports every name.
 
 The check counts modules rather than milliseconds, so a heavy runtime
 dependency cannot creep back into `import quasiprime` unnoticed.
@@ -8,6 +9,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -49,3 +52,73 @@ def test_import_builds_no_table_and_a_small_call_a_small_one():
     at_import, after_91 = map(int, result.stdout.split())
     assert at_import == 0
     assert 0 < after_91 <= 342
+
+
+# What a command does not use stays unloaded: the dataclass machinery (with
+# inspect), fractions (with decimal), json and the sieve oracle.
+UNUSED = ("dataclasses", "inspect", "fractions", "decimal", "json", "quasiprime.oracle")
+
+GUARD_PROBE = """
+import runpy, sys
+unused = set(sys.argv[1:])
+before = set(sys.modules)
+import quasiprime
+print(sorted(unused & set(sys.modules) - before))
+import quasiprime.shell
+print(sorted(unused & set(sys.modules) - before))
+sys.argv = ["qprime", "prime", "91", "--quiet"]
+try:
+    runpy.run_module("quasiprime", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    print(exc.code, "json" in sys.modules)
+print(quasiprime.oracle.sieve is quasiprime.sieve, sorted(unused & set(sys.modules) - before))
+print(sorted(set(quasiprime.__all__) - set(vars(quasiprime))))
+"""
+
+
+def test_import_and_a_quiet_verdict_load_nothing_they_do_not_use():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    result = subprocess.run(
+        [sys.executable, "-c", GUARD_PROBE, *UNUSED], env=env, capture_output=True, text=True, check=True
+    )
+    package, shell, quiet, served, unbound = result.stdout.splitlines()
+    assert package == "[]"
+    assert shell == "[]"
+    assert quiet == "1 False"  # 91 = 7 × 13 is composite
+    assert served == "True ['quasiprime.oracle']"  # loaded on first access only
+    assert unbound == "[]"  # then bound in the package, as an eager import left them
+
+
+# The names `quasiprime/__init__.py` exported when it imported the oracle eagerly.
+EXPORTS = {
+    "TripletClass", "WheelConfig", "admissible_moduli", "digital_root", "dr_add", "dr_mul",
+    "fibonacci_dr_cycle", "modulus_of", "prime_moduli", "triplet_class",
+    "GridCoordinate", "QuasiPrimeTag", "axis_index", "axis_value", "contains", "diagonal_dr",
+    "grid_value", "quasiprime_tag", "region",
+    "DensityReport", "FactorPair", "FilterVerdict", "PrimalityVerdict", "SearchStrategy", "Stage",
+    "VerdictKind", "dr_pairs", "factor_on_grid", "full_factorize", "is_prime", "last_digit_pairs",
+    "prefilter", "survivor_density",
+    "MismatchReport", "PrimeTable", "sieve", "trial_factor", "trial_is_prime", "verify_range",
+    "ConsistencyError", "NoFactorsError", "NotOnPrimeModuliError", "NotQuasiPrimeError",
+    "ResourceLimitError",
+}
+
+
+def test_export_set_is_whole():
+    import quasiprime
+    from quasiprime import numerics, oracle, qgrid
+
+    assert sorted(quasiprime.__all__) == sorted(EXPORTS)
+    listed = dir(quasiprime)
+    for name in EXPORTS:
+        assert hasattr(quasiprime, name) and name in listed, name
+    star: dict = {}
+    exec("from quasiprime import *", star)
+    del star["__builtins__"]
+    assert set(star) == EXPORTS
+    assert quasiprime.sieve is quasiprime.oracle.sieve is oracle.sieve
+    assert quasiprime.MismatchReport is oracle.MismatchReport
+    assert "oracle" in listed
+    assert qgrid.require_int is numerics.require_int
+    with pytest.raises(AttributeError, match="no_such_name"):
+        quasiprime.no_such_name

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from quasiprime import oracle
 from quasiprime.errors import NoFactorsError, NotQuasiPrimeError
-from quasiprime.numerics import digital_root, modulus_of, prime_moduli
+from quasiprime.numerics import WheelConfig, digital_root, dr_mul, modulus_of, prime_moduli
 from quasiprime.pipeline import (
     _STAGE_AT,
     FILTER_STAGES,
@@ -272,6 +272,14 @@ class TestPairTables:
         pytest.param(grid_value, (True, 2), id="grid_value"),
         pytest.param(GridCoordinate, (1.0, 1, 25), id="GridCoordinate"),
         pytest.param(GridCoordinate, (1, 1, 25.0), id="GridCoordinate-value"),
+        pytest.param(digital_root, (9.0,), id="digital_root"),
+        pytest.param(digital_root, (True,), id="digital_root-bool"),
+        pytest.param(dr_mul, (2, 3.0), id="dr_mul"),
+        pytest.param(modulus_of, (25.0, 24), id="modulus_of"),
+        pytest.param(modulus_of, (25, 24.0), id="modulus_of-sides"),
+        pytest.param(prime_moduli, (True,), id="prime_moduli-bool"),
+        pytest.param(WheelConfig, (24.0, 2), id="WheelConfig"),
+        pytest.param(WheelConfig, (24, 2.0), id="WheelConfig-rings"),
     ],
 )
 def test_non_int_input_is_a_type_error(fn, args):

@@ -21,6 +21,10 @@ from quasiprime.qgrid import (
 )
 
 
+# Axis index of the largest axis value whose square is within the 64-bit cap.
+CAP_K = axis_index(3037000499)
+
+
 def axis_by_enumeration(count):
     """Independent axis oracle: ascending v >= 5 with v ≡ ±1 (mod 6)."""
     out = []
@@ -219,6 +223,29 @@ class TestRegion:
         for di, row in enumerate(table):
             for dj, v in enumerate(row):
                 assert v == grid_value(3 + di, 2 + dj)
+
+    def test_cap_at_the_boundary_cell(self):
+        # (K, K) is the last diagonal cell within the 64-bit cap; (K, K + 1) is past it.
+        assert axis_value(CAP_K) ** 2 <= MAX_VALUE < axis_value(CAP_K) * axis_value(CAP_K + 1)
+        assert region(CAP_K - 1, CAP_K, CAP_K - 1, CAP_K) == [
+            [grid_value(i, j) for j in (CAP_K - 1, CAP_K)] for i in (CAP_K - 1, CAP_K)
+        ]
+        assert region(CAP_K - 1, CAP_K - 1, CAP_K + 1, CAP_K + 1) == [[grid_value(CAP_K - 1, CAP_K + 1)]]
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            (CAP_K, CAP_K, CAP_K, CAP_K + 1),
+            (CAP_K + 1, CAP_K + 1, CAP_K - 1, CAP_K),
+            (CAP_K - 1, CAP_K, CAP_K - 1, CAP_K + 1),
+            (1_100_000_000, 1_100_000_000, 1_100_000_000, 1_100_000_000),
+        ],
+    )
+    def test_cap_past_the_boundary_cell(self, bounds):
+        with pytest.raises(ResourceLimitError):
+            grid_value(bounds[1], bounds[3])
+        with pytest.raises(ResourceLimitError, match="exceeds the 64-bit cap"):
+            region(*bounds)
 
 
 @pytest.fixture

@@ -90,6 +90,23 @@ class TestQgridCommand:
         code, _, _ = run(capsys, "qgrid", "--rows", "1..200", "--cols", "1..200")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "rows, cols, code",
+        [
+            ("1012333498..1012333499", "1012333498..1012333499", 0),
+            ("1012333499", "1012333499..1012333500", 2),
+            ("1100000000..1100000001", "1100000000..1100000001", 2),
+        ],
+        ids=["boundary", "past", "far-past"],
+    )
+    def test_cells_above_the_64_bit_cap_are_usage_errors(self, capsys, rows, cols, code):
+        got, out, err = run(capsys, "qgrid", "--rows", rows, "--cols", cols, "--json")
+        assert got == code
+        if code:
+            assert out == "" and "exceeds the 64-bit cap" in err
+        else:
+            assert max(map(max, json.loads(out)["values"])) == 3037000499**2
+
 
 class TestWheelCommand:
     def test_writes_svg_with_metadata(self, capsys, tmp_path):

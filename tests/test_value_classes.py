@@ -54,6 +54,12 @@ class TestFrozen:
                 setattr(obj, name, 1)
         assert [getattr(obj, name) for name in fields] == list(fields.values())
 
+    @pytest.mark.parametrize("cls, fields, text", FROZEN)
+    def test_attributes_cannot_be_added(self, cls, fields, text):
+        # An unknown name is refused like a field, with AttributeError rather than TypeError.
+        with pytest.raises(AttributeError):
+            cls(**fields).extra = 1
+
     @pytest.mark.parametrize(
         "cls, args, message",
         [
