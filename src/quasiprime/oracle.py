@@ -7,11 +7,11 @@ digital-root machinery.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Callable, Iterable
 from itertools import compress
 from math import isqrt
-from typing import Callable, Iterable
 
-from ._report import Report
 from .errors import ResourceLimitError
 
 SIEVE_LIMIT_CAP = 10**8
@@ -98,25 +98,31 @@ def trial_factor(n: int) -> list[int]:
     return factors
 
 
-class MismatchReport(Report):
+class MismatchReport(
+    namedtuple("MismatchReport", "limit strategy factor_stride mismatches factor_mismatches")
+):
     """Outcome of checking the pipeline against the sieve on [2, limit].
 
     Each report starts with lists of its own when none are given.
     """
 
-    def __init__(
-        self,
+    __slots__ = ()
+
+    def __new__(
+        cls,
         limit: int,
         strategy: str,
         factor_stride: int,
         mismatches: list[tuple[int, str, str]] | None = None,
         factor_mismatches: list[tuple[int, list[int], list[int]]] | None = None,
     ):
-        self.limit = limit
-        self.strategy = strategy
-        self.factor_stride = factor_stride
-        self.mismatches = [] if mismatches is None else mismatches
-        self.factor_mismatches = [] if factor_mismatches is None else factor_mismatches
+        return tuple.__new__(cls, (
+            limit,
+            strategy,
+            factor_stride,
+            [] if mismatches is None else mismatches,
+            [] if factor_mismatches is None else factor_mismatches,
+        ))
 
     @property
     def ok(self) -> bool:
@@ -124,9 +130,7 @@ class MismatchReport(Report):
 
     def to_json_dict(self) -> dict:
         return {
-            "limit": self.limit,
-            "strategy": self.strategy,
-            "factor_stride": self.factor_stride,
+            **self._asdict(),
             "mismatches": [list(m) for m in self.mismatches],
             "factor_mismatches": [[n, list(a), list(b)] for n, a, b in self.factor_mismatches],
             "ok": self.ok,

@@ -4,9 +4,10 @@ The filter stages run in a fixed order: odd, last digit in {1,3,7,9},
 digital root not in {3,6,9}, residue on a prime modulus of the 24-wheel.
 Each stage reads only n mod 2, 10, 9 or 24, and all four moduli divide
 360, so the first failing stage, and the divisor 2 or 3 behind it, depend
-on n mod 360 alone.  A 360-row table built at import from the four stage
-definitions holds both, and it shows that the prime-modulus stage never
-fires: odd and free of 3 already puts n on a 6k±1 spoke.
+on n mod 360 alone.  A 360-row table built at import holds both.  The
+prime-modulus stage never fires, since odd and free of 3 already puts n
+on a 6k±1 spoke, so the table is built from the other three stages; the
+fourth stays in the reports as an always-0 count.
 Survivors go to the grid stage, which settles primality exactly.  Up to
 qgrid.TABLE_CAP, isqrt(n) = qgrid.WALK_LIMIT, a least-axis-factor table
 over the 6k±1 slots does it without trial division: one lookup gives the
@@ -24,12 +25,9 @@ from collections import namedtuple
 from enum import Enum
 
 from . import qgrid
-from ._report import Report
 from .errors import NoFactorsError, NotQuasiPrimeError
-from .numerics import digital_root, modulus_of, prime_moduli, require_int
+from .numerics import digital_root, require_int
 from .qgrid import MAX_VALUE, GridCoordinate
-
-PRIME_MODULI_24 = prime_moduli(24)
 
 
 class Stage(str, Enum):
@@ -112,24 +110,22 @@ class FactorPair(namedtuple("FactorPair", "a b")):
         return self.a * self.b
 
 
-class DensityReport(Report):
+def rejections_by_name(per_stage_rejections: dict[Stage, int]) -> dict[str, int]:
+    """A report's rejection counts keyed by stage name, in stage order."""
+    return {s.value: per_stage_rejections[s] for s in FILTER_STAGES}
+
+
+class DensityReport(namedtuple("DensityReport", "limit survivors fraction per_stage_rejections")):
     """Prefilter survivors over [1, limit], their share of it as a
     ``fractions.Fraction``, and the rejections at each stage."""
 
-    def __init__(self, limit: int, survivors: int, fraction, per_stage_rejections: dict[Stage, int]):
-        self.limit = limit
-        self.survivors = survivors
-        self.fraction = fraction
-        self.per_stage_rejections = per_stage_rejections
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {
-            "limit": self.limit,
-            "survivors": self.survivors,
+            **self._asdict(),
             "fraction": float(self.fraction),
-            "per_stage_rejections": {
-                s.value: self.per_stage_rejections[s] for s in FILTER_STAGES
-            },
+            "per_stage_rejections": rejections_by_name(self.per_stage_rejections),
         }
 
 
@@ -138,7 +134,8 @@ def _stage_row(m: int) -> tuple[Stage | None, int | None]:
 
     The divisor is None when the stage implies none, which sends the caller
     to the grid: the last-digit stage also hits 5 itself (prime) and the
-    multiples of 5 that live on the grid.
+    multiples of 5 that live on the grid.  The prime-modulus stage is not
+    tested, since no m that passes the other three fails it.
     """
     if m % 2 == 0:
         return Stage.NOT_ODD, 2
@@ -146,8 +143,6 @@ def _stage_row(m: int) -> tuple[Stage | None, int | None]:
         return Stage.LAST_DIGIT, 3 if m % 3 == 0 else None
     if digital_root(m) in (3, 6, 9):
         return Stage.DIGITAL_ROOT_369, 3
-    if modulus_of(m, 24) not in PRIME_MODULI_24:
-        return Stage.NOT_PRIME_MODULUS, None
     return None, None
 
 
@@ -157,7 +152,7 @@ def _stage_row(m: int) -> tuple[Stage | None, int | None]:
 _Fraction = None
 
 # Row r serves every n = r (mod 360); 360 stands in for residue 0, since the
-# digital root and the wheel spoke are defined for positive integers only.
+# digital root is defined for positive integers only.
 _STAGE_AT = tuple(_stage_row(r or 360) for r in range(360))
 
 def prefilter(n: int) -> FilterVerdict:

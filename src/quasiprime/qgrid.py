@@ -30,9 +30,12 @@ from .numerics import digital_root, require_int
 MAX_VALUE = 2**63 - 1
 REGION_CELL_CAP = 10**4
 # n with isqrt(n) <= WALK_LIMIT read the table; larger n take a walk over the
-# axis values up to SMALL_SPAN, then Miller-Rabin and rho.  Summed over primes,
-# near-balanced semiprimes and random n, both strategies and full_factorize, a
-# full axis walk and the latter cost the same near isqrt(n) = 800 on CPython 3.11.
+# axis values up to SMALL_SPAN, then Miller-Rabin and rho.  800 was measured
+# against the full axis walk that the table has since replaced: summed over
+# primes, near-balanced semiprimes and random n, both strategies and
+# full_factorize, that walk and the latter cost the same near isqrt(n) = 800
+# on CPython 3.11.  The crossover against the table is not yet re-measured
+# (ROADMAP item 2).
 WALK_LIMIT = 800
 SMALL_SPAN = 300
 TABLE_CAP = (WALK_LIMIT + 1) ** 2 - 1

@@ -20,10 +20,9 @@ import time
 from collections import namedtuple
 
 from . import pipeline, qgrid
-from ._report import Report
 from .errors import ConsistencyError, ResourceLimitError
 from .numerics import modulus_of, prime_moduli
-from .pipeline import SearchStrategy, Stage, VerdictKind
+from .pipeline import SearchStrategy, VerdictKind
 
 WHEEL_LIMIT_CAP = 10**4
 BENCH_LIMIT_CAP = 10**7
@@ -134,44 +133,24 @@ def emit_wheel_svg(render: WheelRender) -> str:
 # benchmark harness
 
 
-class BenchReport(Report):
+class BenchReport(
+    namedtuple(
+        "BenchReport",
+        "limit pipeline_seconds trial_division_seconds primes_found survivors fraction "
+        "per_stage_rejections notes",
+    )
+):
     """Timing comparison of the staged pipeline against naive trial division.
 
     Both timings are informational; no speedup figure is asserted anywhere.
     """
 
-    def __init__(
-        self,
-        limit: int,
-        pipeline_seconds: float,
-        trial_division_seconds: float,
-        primes_found: int,
-        survivors: int,
-        fraction: float,
-        per_stage_rejections: dict[Stage, int],
-        notes: str,
-    ):
-        self.limit = limit
-        self.pipeline_seconds = pipeline_seconds
-        self.trial_division_seconds = trial_division_seconds
-        self.primes_found = primes_found
-        self.survivors = survivors
-        self.fraction = fraction
-        self.per_stage_rejections = per_stage_rejections
-        self.notes = notes
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {
-            "limit": self.limit,
-            "pipeline_seconds": self.pipeline_seconds,
-            "trial_division_seconds": self.trial_division_seconds,
-            "primes_found": self.primes_found,
-            "survivors": self.survivors,
-            "fraction": self.fraction,
-            "per_stage_rejections": {
-                s.value: self.per_stage_rejections[s] for s in pipeline.FILTER_STAGES
-            },
-            "notes": self.notes,
+            **self._asdict(),
+            "per_stage_rejections": pipeline.rejections_by_name(self.per_stage_rejections),
         }
 
 
@@ -269,19 +248,15 @@ def _parse_range(text: str) -> tuple[int, int]:
     return a, b
 
 
-def _env_limit_cap() -> int | None:
+def _check_env_cap(limit: int) -> None:
     raw = os.environ.get(MAX_LIMIT_ENV)
     if raw is None:
-        return None
+        return
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise ValueError(f"{MAX_LIMIT_ENV} must be an integer, got {raw!r}")
-
-
-def _check_env_cap(limit: int) -> None:
-    cap = _env_limit_cap()
-    if cap is not None and limit > cap:
+    if limit > cap:
         raise ValueError(f"limit {limit} exceeds {MAX_LIMIT_ENV}={cap}")
 
 
@@ -379,7 +354,6 @@ def _cmd_qgrid(args) -> int:
 
 
 def _cmd_wheel(args) -> int:
-    _check_env_cap(args.limit)
     render = build_wheel_render(args.sides, args.limit)
     svg = emit_wheel_svg(render)
     try:
@@ -405,7 +379,6 @@ def _cmd_wheel(args) -> int:
 def _cmd_verify(args) -> int:
     from . import oracle
 
-    _check_env_cap(args.limit)
     report = oracle.verify_range(
         args.limit,
         strategy=SearchStrategy(args.strategy),
@@ -421,14 +394,14 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    _check_env_cap(args.limit)
     report = bench(args.limit)
+    rejections = pipeline.rejections_by_name(report.per_stage_rejections)
     text = (
         f"limit {report.limit}: staged pipeline {report.pipeline_seconds:.3f}s, "
         f"trial division {report.trial_division_seconds:.3f}s, "
         f"{report.primes_found} primes, survivor fraction {report.fraction:.4f}\n"
         f"rejections: "
-        + ", ".join(f"{s.value}={report.per_stage_rejections[s]}" for s in pipeline.FILTER_STAGES)
+        + ", ".join(f"{name}={count}" for name, count in rejections.items())
         + f"\nnote: {report.notes}"
     )
     _emit(report.to_json_dict(), text, args.json)
@@ -436,13 +409,13 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_density(args) -> int:
-    _check_env_cap(args.limit)
     report = pipeline.survivor_density(args.limit)
+    rejections = pipeline.rejections_by_name(report.per_stage_rejections)
     text = (
         f"limit {report.limit}: {report.survivors} survivors, "
         f"fraction {float(report.fraction):.6f} (4/15 ≈ 0.266667)\n"
         f"rejections: "
-        + ", ".join(f"{s.value}={report.per_stage_rejections[s]}" for s in pipeline.FILTER_STAGES)
+        + ", ".join(f"{name}={count}" for name, count in rejections.items())
     )
     _emit(report.to_json_dict(), text, args.json)
     return 0
@@ -466,6 +439,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse prints usage itself
         return int(exc.code or 0)
     try:
+        if hasattr(args, "limit"):  # wheel, verify, bench and density
+            _check_env_cap(args.limit)
         return _COMMANDS[args.command](args)
     except ConsistencyError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

@@ -89,6 +89,27 @@ def test_import_and_a_quiet_verdict_load_nothing_they_do_not_use():
     assert unbound == "[]"  # then bound in the package, as an eager import left them
 
 
+# The sieve oracle, loaded by the commands that check against it, adds no
+# top-level module to those the package loaded.  Without site (-S) the
+# interpreter loads so little that an import of typing for annotations only,
+# with re, os and warnings behind it, would show.
+ORACLE_PROBE = """
+import sys
+import quasiprime
+before = {name.partition(".")[0] for name in sys.modules}
+import quasiprime.oracle
+print(sorted({name.partition(".")[0] for name in sys.modules} - before))
+"""
+
+
+def test_oracle_adds_no_top_level_module_to_the_package():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", ORACLE_PROBE], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "[]\n"
+
+
 # The names `quasiprime/__init__.py` exported when it imported the oracle eagerly.
 EXPORTS = {
     "TripletClass", "WheelConfig", "admissible_moduli", "digital_root", "dr_add", "dr_mul",

@@ -259,11 +259,16 @@ class TestUsageAndCaps:
     def test_missing_required_argument(self, capsys):
         assert run(capsys, "density")[0] == 2
 
-    def test_env_cap_rejects_large_limits(self, capsys, monkeypatch):
+    def test_env_cap_rejects_large_limits(self, capsys, monkeypatch, tmp_path):
+        # Every command with a --limit obeys the cap, before it does any work.
         monkeypatch.setenv(shell.MAX_LIMIT_ENV, "1000")
-        code, _, err = run(capsys, "density", "--limit", "5000")
-        assert code == 2
-        assert "QP_MAX_LIMIT" in err
+        svg = tmp_path / "w.svg"
+        for argv in (["wheel", "--out", str(svg)], ["verify"], ["bench"], ["density"]):
+            code, out, err = run(capsys, *argv, "--limit", "5000")
+            assert code == 2, argv
+            assert out == ""
+            assert "error: limit 5000 exceeds QP_MAX_LIMIT=1000" in err
+        assert not svg.exists()
 
     def test_env_cap_allows_small_limits(self, capsys, monkeypatch):
         monkeypatch.setenv(shell.MAX_LIMIT_ENV, "1000")
