@@ -25,6 +25,10 @@ class TripletClass(Enum):
     T258 = (2, 5, 8)
 
 
+# Indexed by a digital root mod 3: roots 3, 6, 9 give 0; 1, 4, 7 give 1; 2, 5, 8 give 2.
+_TRIPLETS_BY_RESIDUE = (TripletClass.T369, TripletClass.T147, TripletClass.T258)
+
+
 def digital_root(n: int) -> int:
     """Iterated digit sum of a positive integer, via the mod-9 closed form.
 
@@ -39,12 +43,8 @@ def digital_root(n: int) -> int:
 
 
 def triplet_class(n: int) -> TripletClass:
-    """Triplet class of digital_root(n)."""
-    r = digital_root(n)
-    for cls in TripletClass:
-        if r in cls.value:
-            return cls
-    raise AssertionError("unreachable")
+    """Triplet class of digital_root(n), which the root's residue mod 3 picks."""
+    return _TRIPLETS_BY_RESIDUE[digital_root(n) % 3]
 
 
 def dr_add(a: int, b: int) -> int:

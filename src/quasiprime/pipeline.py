@@ -99,6 +99,10 @@ class FactorPair(namedtuple("FactorPair", "a b")):
     __slots__ = ()
 
     def __new__(cls, a: int, b: int):
+        if type(a) is not int:
+            require_int(a)
+        if type(b) is not int:
+            require_int(b)
         if not (5 <= a <= b):
             raise ValueError(f"need 5 <= a <= b, got ({a}, {b})")
         if a % 6 not in (1, 5) or b % 6 not in (1, 5):
@@ -168,6 +172,7 @@ def prefilter(n: int) -> FilterVerdict:
 
 def last_digit_pairs(d: int) -> frozenset[tuple[int, int]]:
     """Unordered last-digit pairs (x, y) from {1,3,7,9} with x*y ending in d."""
+    require_int(d)
     if d not in (1, 3, 7, 9):
         raise ValueError(f"last digit of a candidate must be 1, 3, 7 or 9, got {d}")
     return frozenset(
@@ -180,6 +185,7 @@ def last_digit_pairs(d: int) -> frozenset[tuple[int, int]]:
 
 def dr_pairs(r: int) -> frozenset[tuple[int, int]]:
     """Unordered digital-root pairs (x, y) from {1,2,4,5,7,8} whose product has root r."""
+    require_int(r)
     if r in (3, 6, 9):
         raise ValueError(f"no factor coprime to 3 yields a product with digital root {r}")
     if r not in (1, 2, 4, 5, 7, 8):

@@ -349,9 +349,15 @@ def quasiprime_tag(c: GridCoordinate) -> QuasiPrimeTag:
 
 
 def diagonal_dr(count: int) -> list[int]:
-    """Digital roots of the reflection-line squares, cell (k, k) for k = 1..count."""
+    """Digital roots of the reflection-line squares, cell (k, k) for k = 1..count.
+
+    A diagonal is cells of the grid, so count is capped like a region.
+    """
+    require_int(count)
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
+    if count > REGION_CELL_CAP:
+        raise ResourceLimitError(f"diagonal of {count} cells exceeds cap {REGION_CELL_CAP}")
     return [digital_root(grid_value(k, k)) for k in range(1, count + 1)]
 
 

@@ -56,16 +56,13 @@ def build_wheel_render(sides: int, limit: int) -> WheelRender:
         raise ValueError(f"wheel limit must be positive, got {limit}")
     if limit > WHEEL_LIMIT_CAP:
         raise ResourceLimitError(f"wheel limit {limit} exceeds render cap {WHEEL_LIMIT_CAP}")
-    table = oracle.sieve(max(limit, 2))
-    primes = set()
-    for n in range(2, limit + 1):
-        sieve_says = table.is_prime(n)
-        if pipeline.is_prime(n).is_prime != sieve_says:
-            raise ConsistencyError(f"pipeline and sieve disagree at {n}")
-        if sieve_says:
-            if n > 3 and modulus_of(n, sides) not in highlighted:
-                raise ConsistencyError(f"prime {n} landed off the prime moduli")
-            primes.add(n)
+    report = oracle.verify_range(max(limit, 2), factor_stride=0)
+    if report.mismatches:
+        raise ConsistencyError(f"pipeline and sieve disagree at {report.mismatches[0][0]}")
+    primes = [p for p in oracle.sieve(report.limit).primes() if p <= limit]
+    for p in primes:
+        if p > 3 and modulus_of(p, sides) not in highlighted:
+            raise ConsistencyError(f"prime {p} landed off the prime moduli")
     return WheelRender(sides, limit, highlighted, frozenset(primes))
 
 
@@ -154,7 +151,7 @@ class BenchReport(
         }
 
 
-def bench(limit: int, strategy: SearchStrategy = SearchStrategy.ASCENDING_SCAN) -> BenchReport:
+def bench(limit: int) -> BenchReport:
     """Time staged primality and trial division over [2, limit]."""
     from . import oracle
 
@@ -165,7 +162,7 @@ def bench(limit: int, strategy: SearchStrategy = SearchStrategy.ASCENDING_SCAN) 
 
     is_prime = pipeline.is_prime
     t0 = time.perf_counter()
-    pipeline_count = sum(1 for n in range(2, limit + 1) if is_prime(n, strategy).is_prime)
+    pipeline_count = sum(1 for n in range(2, limit + 1) if is_prime(n).is_prime)
     pipeline_seconds = time.perf_counter() - t0
 
     trial = oracle.trial_is_prime
@@ -267,44 +264,46 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_json(p):
+    def finish(p, run):
+        """Give a subcommand its --json flag and the handler that runs it."""
         p.add_argument("--json", action="store_true", help="emit JSON instead of text")
+        p.set_defaults(run=run)
 
     p = sub.add_parser("prime", help="staged primality verdict for N")
     p.add_argument("n", type=int)
     p.add_argument("--strategy", choices=[s.value for s in SearchStrategy], default="asc")
     p.add_argument("--quiet", action="store_true", help="no output; exit 0 prime, 1 composite")
-    add_json(p)
+    finish(p, _cmd_prime)
 
     p = sub.add_parser("factor", help="full prime factorization of N")
     p.add_argument("n", type=int)
-    add_json(p)
+    finish(p, _cmd_factor)
 
     p = sub.add_parser("qgrid", help="display a rectangular region of the grid")
     p.add_argument("--rows", type=_parse_range, required=True, metavar="A..B")
     p.add_argument("--cols", type=_parse_range, required=True, metavar="C..D")
-    add_json(p)
+    finish(p, _cmd_qgrid)
 
     p = sub.add_parser("wheel", help="render an s-sided wheel to SVG")
     p.add_argument("--sides", type=int, default=24)
     p.add_argument("--limit", type=int, required=True)
     p.add_argument("--out", required=True, metavar="FILE.svg")
-    add_json(p)
+    finish(p, _cmd_wheel)
 
     p = sub.add_parser("verify", help="check the pipeline against the sieve oracle")
     p.add_argument("--limit", type=int, required=True)
     p.add_argument("--strategy", choices=[s.value for s in SearchStrategy], default="asc")
     p.add_argument("--factor-stride", type=int, default=101,
                    help="also cross-factorize every k-th n (0 disables)")
-    add_json(p)
+    finish(p, _cmd_verify)
 
     p = sub.add_parser("bench", help="time the pipeline against trial division")
     p.add_argument("--limit", type=int, required=True)
-    add_json(p)
+    finish(p, _cmd_bench)
 
     p = sub.add_parser("density", help="prefilter survivor fraction up to a limit")
     p.add_argument("--limit", type=int, required=True)
-    add_json(p)
+    finish(p, _cmd_density)
 
     return parser
 
@@ -421,17 +420,6 @@ def _cmd_density(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "prime": _cmd_prime,
-    "factor": _cmd_factor,
-    "qgrid": _cmd_qgrid,
-    "wheel": _cmd_wheel,
-    "verify": _cmd_verify,
-    "bench": _cmd_bench,
-    "density": _cmd_density,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -441,7 +429,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if hasattr(args, "limit"):  # wheel, verify, bench and density
             _check_env_cap(args.limit)
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except ConsistencyError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3

@@ -23,7 +23,7 @@ from quasiprime.pipeline import (
     prefilter,
     survivor_density,
 )
-from quasiprime.qgrid import GridCoordinate, axis_index, axis_value, contains, grid_value
+from quasiprime.qgrid import GridCoordinate, axis_index, axis_value, contains, diagonal_dr, grid_value
 
 ASC = SearchStrategy.ASCENDING_SCAN
 BAL = SearchStrategy.BALANCED_FIRST
@@ -280,6 +280,14 @@ class TestPairTables:
         pytest.param(prime_moduli, (True,), id="prime_moduli-bool"),
         pytest.param(WheelConfig, (24.0, 2), id="WheelConfig"),
         pytest.param(WheelConfig, (24, 2.0), id="WheelConfig-rings"),
+        pytest.param(FactorPair, (5.0, 7), id="FactorPair"),
+        pytest.param(FactorPair, (5, 7.0), id="FactorPair-b"),
+        pytest.param(diagonal_dr, (6.0,), id="diagonal_dr"),
+        pytest.param(diagonal_dr, (True,), id="diagonal_dr-bool"),
+        pytest.param(last_digit_pairs, (1.0,), id="last_digit_pairs"),
+        pytest.param(last_digit_pairs, (True,), id="last_digit_pairs-bool"),
+        pytest.param(dr_pairs, (1.0,), id="dr_pairs"),
+        pytest.param(dr_pairs, (True,), id="dr_pairs-bool"),
     ],
 )
 def test_non_int_input_is_a_type_error(fn, args):

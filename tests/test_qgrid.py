@@ -9,6 +9,7 @@ from quasiprime.errors import NoFactorsError, NotOnPrimeModuliError, ResourceLim
 from quasiprime.pipeline import SearchStrategy, factor_on_grid, full_factorize, is_prime
 from quasiprime.qgrid import (
     MAX_VALUE,
+    REGION_CELL_CAP,
     GridCoordinate,
     QuasiPrimeTag,
     axis_index,
@@ -196,6 +197,11 @@ class TestDiagonal:
     def test_rejects_non_positive(self):
         with pytest.raises(ValueError):
             diagonal_dr(0)
+
+    def test_count_capped_like_a_region(self):
+        assert len(diagonal_dr(REGION_CELL_CAP)) == REGION_CELL_CAP
+        with pytest.raises(ResourceLimitError):
+            diagonal_dr(REGION_CELL_CAP + 1)
 
 
 class TestRegion:

@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quasiprime import pipeline, shell
 from quasiprime.errors import ConsistencyError, ResourceLimitError
@@ -12,6 +17,14 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def call(*argv):
+    """main() in process, without a pytest fixture, so hypothesis can drive it."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    return code, out.getvalue()
 
 
 class TestPrimeCommand:
@@ -45,6 +58,29 @@ class TestPrimeCommand:
     def test_quiet_prints_nothing(self, capsys):
         _, out, err = run(capsys, "prime", "91", "--quiet")
         assert out == "" and err == ""
+
+
+# n of a random bit length from 2 to 63, so every size is drawn alike
+sized = st.integers(min_value=2, max_value=63).flatmap(lambda b: st.integers(2 ** (b - 1), 2**b - 1))
+
+
+# Few examples: rho takes up to ~25 ms on a 63-bit balanced semiprime.
+@given(sized)
+@example(2)
+@example(3037000453 * 3037000493)
+@example(2**63 - 1)
+@settings(max_examples=40, deadline=None)
+def test_cli_round_trip(n):
+    verdict = pipeline.is_prime(n)
+    code, out = call("prime", str(n), "--json")
+    assert code == 0
+    assert json.loads(out) == verdict.to_json_dict()
+    code, out = call("factor", str(n), "--json")
+    factors = json.loads(out)["factors"]
+    assert code == 0
+    assert math.prod(factors) == n
+    assert verdict.is_prime == (factors == [n])
+    assert call("prime", str(n), "--quiet") == (0 if verdict.is_prime else 1, "")
 
 
 class TestFactorCommand:
@@ -175,6 +211,18 @@ class TestWheelRendering:
         svg = emit_wheel_svg(build_wheel_render(24, 48))
         assert svg.count('class="offpattern"') == 2
         assert 'class="prime"' in svg
+
+    def test_disagreement_names_the_first_n(self, monkeypatch):
+        honest = pipeline.is_prime
+
+        def lying(n, strategy=SearchStrategy.ASCENDING_SCAN):
+            if n in (49, 77):
+                return PrimalityVerdict(n, VerdictKind.PRIME, None, None, strategy)
+            return honest(n, strategy)
+
+        monkeypatch.setattr(shell.pipeline, "is_prime", lying)
+        with pytest.raises(ConsistencyError, match="pipeline and sieve disagree at 49$"):
+            build_wheel_render(24, 100)
 
     def test_emitter_refuses_prime_off_the_spokes(self):
         # hand-built render claiming 10 is prime: 10 sits on spoke 10, off-pattern
