@@ -9,10 +9,12 @@ prime-modulus stage never fires, since odd and free of 3 already puts n
 on a 6k±1 spoke, so the table is built from the other three stages; the
 fourth stays in the reports as an always-0 count.
 Survivors go to the grid stage, which settles primality exactly.  Up to
-qgrid.TABLE_CAP, isqrt(n) = qgrid.WALK_LIMIT, a least-axis-factor table
-over the 6k±1 slots does it without trial division: one lookup gives the
-least factor, and the balanced pair comes from the factors it gives.
-Above that a walk covers a short span only, and then deterministic
+qgrid.TABLE_CAP = 2,347,023, isqrt(n) = qgrid.WALK_LIMIT = 1531, a
+one-byte least-axis-factor table over the 6k±1 slots does it without
+trial division: one lookup gives the least factor, and the balanced pair
+comes from the factors it gives.  The table is built in blocks, each on
+the first lookup that touches it, so a one-shot call pays for one block.
+Above the cap a walk covers a short span only, and then deterministic
 Miller-Rabin, exact on the whole 64-bit domain, decides primality and
 Pollard-Brent rho factors the composites, so the witnesses are the same.
 The last-digit and digital-root pair tables are tested facts about factor
@@ -211,17 +213,19 @@ def is_prime(n: int, strategy: SearchStrategy = SearchStrategy.ASCENDING_SCAN) -
         raise TypeError(f"expected a SearchStrategy, got {type(strategy).__name__}")
     if n > MAX_VALUE:
         raise ValueError(f"{n} exceeds the 64-bit input cap")
+    # PrimalityVerdict's constructor checks nothing, so tuple.__new__ builds
+    # the same verdict without its keyword-argument handling.
     if n < 4:
         kind = _INVALID if n < 2 else _PRIME_SPECIAL_SMALL
-        return PrimalityVerdict(n, kind, None, None, strategy)
+        return tuple.__new__(PrimalityVerdict, (n, kind, None, None, strategy))
     stage, witness = _STAGE_AT[n % 360]
     if witness is not None:
-        return PrimalityVerdict(n, _COMPOSITE, witness, stage, strategy)
+        return tuple.__new__(PrimalityVerdict, (n, _COMPOSITE, witness, stage, strategy))
     a = qgrid.axis_divisor(n, descending)
     if a is None:
-        return PrimalityVerdict(n, _PRIME, None, _GRID_SEARCH, strategy)
+        return tuple.__new__(PrimalityVerdict, (n, _PRIME, None, _GRID_SEARCH, strategy))
     deciding = stage if stage is not None else _GRID_SEARCH
-    return PrimalityVerdict(n, _COMPOSITE, qgrid._cell(a, n), deciding, strategy)
+    return tuple.__new__(PrimalityVerdict, (n, _COMPOSITE, qgrid._cell(a, n), deciding, strategy))
 
 
 def factor_on_grid(n: int, strategy: SearchStrategy = SearchStrategy.ASCENDING_SCAN) -> FactorPair:

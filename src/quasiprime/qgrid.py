@@ -11,10 +11,11 @@ isqrt(n) <= WALK_LIMIT, the grid is materialized as a least-axis-factor
 table: slot n // 3 of each n coprime to 6 holds the (6k-1, 6k+1) pair of
 n's least prime factor, so a lookup replaces trial division.  It is the
 least-prime-factor sieve (Gries & Misra, CACM 1978) restricted to the
-wheel's 6k±1 slots (Pritchard, CACM 1981), grown on first need.  Above
-the cap, a short walk over the axis values up to SMALL_SPAN comes first,
-then deterministic Miller-Rabin on at most the first 12 prime bases, which
-is exact below 3.18e23 (Sorenson & Webster, Math. Comp. 2017), far above
+wheel's 6k±1 slots (Pritchard, CACM 1981), built block by block on first
+touch, as in the segmented sieve (Bays & Hudson, BIT 1977).  Above the
+cap, a short walk over the axis values up to SMALL_SPAN comes first, then
+deterministic Miller-Rabin on at most the first 12 prime bases, which is
+exact below 3.18e23 (Sorenson & Webster, Math. Comp. 2017), far above
 MAX_VALUE, and Pollard-Brent rho (Brent, BIT 1980) splits the composites.
 """
 
@@ -30,22 +31,41 @@ from .numerics import digital_root, require_int
 MAX_VALUE = 2**63 - 1
 REGION_CELL_CAP = 10**4
 # n with isqrt(n) <= WALK_LIMIT read the table; larger n take a walk over the
-# axis values up to SMALL_SPAN, then Miller-Rabin and rho.  800 was measured
-# against the full axis walk that the table has since replaced: summed over
-# primes, near-balanced semiprimes and random n, both strategies and
-# full_factorize, that walk and the latter cost the same near isqrt(n) = 800
-# on CPython 3.11.  The crossover against the table is not yet re-measured
-# (ROADMAP item 2).
-WALK_LIMIT = 800
+# axis values up to SMALL_SPAN, then Miller-Rabin and rho.  A table byte holds
+# the pair index k <= 255 of a least factor 6k-1 or 6k+1, so WALK_LIMIT is the
+# largest axis prime with k <= 255, 1531 = 6 * 255 + 1 (no axis prime lies in
+# (1531, 1543)).  The byte, not the cost, sets it.  Per call on CPython 3.11.7
+# (2-core VM, best of 5 over 60 n of each class, both strategies and
+# full_factorize):
+#
+#   class       n in (TABLE_CAP/2, TABLE_CAP]    n in (TABLE_CAP, 4 TABLE_CAP]
+#   random      1.5-4.6 us (table)               6.7-19.7 us (walk, MR, rho)
+#   prime       0.9-1.2 us                       12.4-15.9 us
+#   semiprime   2.0-2.5 us                       3.8-35.5 us
+#
+# SMALL_SPAN from 100 to 1000 moved the mean over these classes at 1e7, 1e10,
+# 1e13 and 1e18 by no more than the run-to-run spread (~30 %), except primes
+# near 1e7: 8-12 us up to 300 and 20-29 us at 600 and 1000.  So it stays 300.
+WALK_LIMIT = 1531
 SMALL_SPAN = 300
 TABLE_CAP = (WALK_LIMIT + 1) ** 2 - 1
-_TABLE_MIN = 1024  # the least bound grown to: 342 bytes
 # Slot n // 3 of each n coprime to 6 holds k for n's least prime factor 6k-1 or
-# 6k+1, and 0 when n is 1 or prime; k <= (WALK_LIMIT + 1) // 6 fits a byte.
-# Empty until first needed, then rebuilt over a larger bound as n grows.  Its
-# bytes depend on its length alone, so every caller can share it.
-_lpf = bytearray()
-_PRIMES_5_TO_23 = 5 * 7 * 11 * 13 * 17 * 19 * 23  # the product of the axis primes below 29
+# 6k+1, and 0 when n is 1 or prime.  The slots come in blocks of BLOCK_SLOTS:
+# slot i is _blocks[i >> _BLOCK_BITS][i & _BLOCK_MASK], and a block is None
+# until the first lookup in it builds it in place.  A block's bytes depend on
+# its index alone, so every caller can share them.  A block pays two slice
+# assignments per axis prime up to its root, whatever its size.  Measured as
+# above, a block of 2**14 slots builds in 0.15-0.6 ms, all 48 in ~22 ms, and a
+# fresh process's first is_prime plus full_factorize, n log-uniform in
+# [1e3, 1e9], takes 0.54 ms on average; with 2**16 slots, 0.2-0.6 ms, ~5 ms
+# for all 12, and 0.63 ms.  2**14 weighs a one-shot call against a long run.
+_BLOCK_BITS = 14
+BLOCK_SLOTS = 1 << _BLOCK_BITS
+_BLOCK_MASK = BLOCK_SLOTS - 1
+_blocks: list[bytearray | None] = [None] * -(-(TABLE_CAP // 3 + 1) // BLOCK_SLOTS)
+# The axis primes up to WALK_LIMIT, ascending; listed once, by the first build.
+_axis_primes: list[int] = []
+_PRIMES_5_TO_37 = 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37  # the axis primes below 41
 # (a, psi_k): the k-th prime base and the least composite that passes the
 # first k of them (Jaeschke, Math. Comp. 1993; Jiang & Deng, Math. Comp.
 # 2014; Sorenson & Webster, Math. Comp. 2017).  psi_12 > 3.18e23 > MAX_VALUE.
@@ -148,10 +168,11 @@ def axis_divisor(n: int, descending: bool = False) -> int | None:
     n's prime factors.  None means n is 1 or prime.
     """
     if n <= TABLE_CAP:
+        i = n // 3
         try:
-            k = _lpf[n // 3]
-        except IndexError:
-            k = _grow(n)[n // 3]
+            k = _blocks[i >> _BLOCK_BITS][i & _BLOCK_MASK]
+        except TypeError:  # None: the block is not built yet
+            k = _build(i >> _BLOCK_BITS)[i & _BLOCK_MASK]
         if not k:
             return None
         p = 6 * k - 1
@@ -195,30 +216,40 @@ def axis_factors(n: int) -> list[int]:
     return factors
 
 
-def _grow(n: int) -> bytearray:
-    """Build the table over the least power of two >= n, within [_TABLE_MIN, TABLE_CAP].
+def _build(b: int) -> bytearray:
+    """Build block b of the table, store it and return it.
 
-    Each axis value p writes its pair index to the slots of p*m for the axis
+    Each axis prime p writes its pair index to the slots of p*m for the axis
     values m >= p, in two progressions of step 2p (m = p and the next axis
-    value, each + 6t).  The values go in descending order, so the least
-    factor of each slot is written last.  Every axis prime up to the root
-    of the slots' largest n is written, so each slot held is exact.  A
-    composite axis value is skipped when a factor from 5 to 23 shows it,
-    since its least prime factor comes later and covers its slots; below
-    29**2 = 841 > WALK_LIMIT every composite axis value has such a factor.
+    value, each + 6t), from the first of each that falls in the block.  The
+    primes go in descending order, so the least factor of each slot is
+    written last.  Every axis prime up to the root of the block's largest n
+    is written, so each slot is exact.  The primes are listed once: an axis
+    value up to WALK_LIMIT < 41**2 = 1681 is prime when it is one of the axis
+    primes 5 to 37 or shares no factor with them, since every composite
+    below 41**2 has a prime factor below 41.
     """
-    global _lpf
-    limit = min(max(1 << (n - 1).bit_length(), _TABLE_MIN), TABLE_CAP)
-    table = bytearray(limit // 3 + 1)
-    size = len(table)
-    for p in range(isqrt(3 * size - 1), 4, -1):
-        if (p % 6 == 1 or p % 6 == 5) and (p < 29 or gcd(p, _PRIMES_5_TO_23) == 1):
-            mark = bytes([(p + 1) // 6])
-            for m in (p, p + 2 if p % 6 == 5 else p + 4):
-                start = p * m // 3
-                table[start::2 * p] = mark * len(range(start, size, 2 * p))
-    _lpf = table
-    return table
+    if not _axis_primes:
+        _axis_primes.extend(
+            p for p in range(5, WALK_LIMIT + 1, 2)
+            if p % 3 and (p < 41 or gcd(p, _PRIMES_5_TO_37) == 1)
+        )
+    lo = b << _BLOCK_BITS
+    size = min(BLOCK_SLOTS, TABLE_CAP // 3 + 1 - lo)
+    top = 3 * (lo + size) - 1  # the largest n with a slot in the block
+    block = bytearray(size)
+    for p in reversed(_axis_primes):
+        if p * p > top:
+            continue
+        mark = bytes([(p + 1) // 6])
+        step = 2 * p
+        for m in (p, p + 2 if p % 6 == 5 else p + 4):
+            start = p * m // 3 - lo
+            if start < 0:
+                start %= step
+            block[start::step] = mark * len(range(start, size, step))
+    _blocks[b] = block
+    return block
 
 
 def _largest_divisor(factors: list[int], r: int) -> int:

@@ -33,14 +33,15 @@ def test_import_adds_only_standard_library_modules():
     assert result.stdout == "[]\n"
 
 
-# The least-axis-factor table is grown on first need, so neither the import
-# nor a one-shot small call pays for the whole of it.
+# The least-axis-factor table is built block by block on first touch, so the
+# import builds none of it and a one-shot small call builds one block.
 TABLE_PROBE = """
 import quasiprime
 from quasiprime import qgrid
-print(len(qgrid._lpf))
+print(sum(b is not None for b in qgrid._blocks))
 quasiprime.is_prime(91)
-print(len(qgrid._lpf))
+print(*[i for i, b in enumerate(qgrid._blocks) if b is not None])
+print(len(qgrid._blocks[0]), qgrid.BLOCK_SLOTS, qgrid.TABLE_CAP // 3 + 1)
 """
 
 
@@ -49,9 +50,11 @@ def test_import_builds_no_table_and_a_small_call_a_small_one():
     result = subprocess.run(
         [sys.executable, "-c", TABLE_PROBE], env=env, capture_output=True, text=True, check=True
     )
-    at_import, after_91 = map(int, result.stdout.split())
-    assert at_import == 0
-    assert 0 < after_91 <= 342
+    at_import, built_by_91, sizes = result.stdout.splitlines()
+    assert at_import == "0"
+    assert built_by_91 == "0"  # the block that holds 91's slot, and no other
+    block_len, block_slots, table_slots = map(int, sizes.split())
+    assert block_len == block_slots and 8 * block_len < table_slots
 
 
 # What a command does not use stays unloaded: the dataclass machinery (with

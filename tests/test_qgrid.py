@@ -1,3 +1,4 @@
+from array import array
 from math import isqrt
 
 import pytest
@@ -323,10 +324,10 @@ class TestWalkWork:
         limit = qgrid.WALK_LIMIT
         n = max(p for p in range(limit * limit, (limit + 1) ** 2) if oracle.trial_is_prime(p))
         call(n)
-        # every pair whose 6k-1 is at most WALK_LIMIT is sieved once into the
-        # table, grown from empty to the cap, and none is walked
+        # every pair whose 6k-1 is at most WALK_LIMIT is sieved into the table,
+        # so none is walked, and a first call builds the one block holding n
         assert walks == []
-        assert n <= qgrid.TABLE_CAP and len(qgrid._lpf) == qgrid.TABLE_CAP // 3 + 1
+        assert n <= qgrid.TABLE_CAP and built_blocks() == [n // 3 // qgrid.BLOCK_SLOTS]
 
     @pytest.mark.parametrize("call", GRID_CALLS.values(), ids=GRID_CALLS.keys())
     @pytest.mark.parametrize("n", [5 * 7 * 7 * 11 * 13 * 17], ids=["composite-below-the-cap"])
@@ -345,8 +346,13 @@ class TestWalkWork:
 
 @pytest.fixture
 def fresh_table(monkeypatch):
-    """The least-axis-factor table emptied, as at import, and restored after the test."""
-    monkeypatch.setattr(qgrid, "_lpf", bytearray())
+    """The least-axis-factor table with no block built, as at import, and restored after the test."""
+    monkeypatch.setattr(qgrid, "_blocks", [None] * len(qgrid._blocks))
+
+
+def built_blocks():
+    """Indices of the table's blocks built so far."""
+    return [b for b, block in enumerate(qgrid._blocks) if block is not None]
 
 
 def grid_answers(n):
@@ -361,8 +367,41 @@ def reference_answers(n):
     return (divisors[0] if divisors else None), (divisors[-1] if divisors else None), factors
 
 
-GROWTH_BOUNDS = [2**k + e for k in range(10, 20) for e in (0, 1)] + [qgrid.TABLE_CAP, qgrid.TABLE_CAP + 1]
-AXIS_PRIME_PRODUCTS = [797 * 797, 787 * 797, 787 * 787]  # the two largest axis primes <= WALK_LIMIT
+def least_prime_factors(limit):
+    """Least prime factor of each n <= limit, 0 when n < 2 or n is prime.
+
+    Plain Eratosthenes over all integers, no wheel: each prime p <= sqrt(limit)
+    writes itself to p*p, p*p + p, ..., in descending order of p, so the
+    least prime factor is written last.
+    """
+    root = isqrt(limit)
+    composite = bytearray(root + 1)
+    primes = []
+    for p in range(2, root + 1):
+        if not composite[p]:
+            primes.append(p)
+            composite[p * p :: p] = b"\1" * len(range(p * p, root + 1, p))
+    lpf = array("H", bytes(2 * (limit + 1)))
+    for p in reversed(primes):
+        lpf[p * p :: p] = array("H", [p]) * len(range(p * p, limit + 1, p))
+    return lpf
+
+
+def axis_prime_products(limit):
+    """p*p, p*q and q*q for the two largest axis primes q < p <= limit."""
+    p, q = [v for v in range(limit, 4, -1) if v % 6 in (1, 5) and oracle.trial_is_prime(v)][:2]
+    return [p * p, q * p, q * q]
+
+
+# n at the first slot of each block but the first: near() of each also holds
+# the last slots of the block below it.  Then the cap's slot, the last one.
+BLOCK_BOUNDS = [3 * b * qgrid.BLOCK_SLOTS for b in range(1, len(qgrid._blocks))]
+BLOCK_BOUNDS += [qgrid.TABLE_CAP, qgrid.TABLE_CAP + 1]
+# Where a single table grown by powers of two used to stop, and its cap at
+# WALK_LIMIT = 800: inside blocks now.
+FORMER_BOUNDS = [2**k + e for k in range(10, 20) for e in (0, 1)] + [641600, 641601]
+AXIS_PRIME_PRODUCTS = axis_prime_products(qgrid.WALK_LIMIT) + axis_prime_products(800)
+BOUNDS = BLOCK_BOUNDS + FORMER_BOUNDS + AXIS_PRIME_PRODUCTS
 
 
 def near(bound):
@@ -373,36 +412,53 @@ def near(bound):
 @pytest.mark.usefixtures("fresh_table")
 class TestLeastFactorTable:
     def test_least_factor_matches_trial_division_up_to_the_cap(self):
+        lpf = least_prime_factors(qgrid.TABLE_CAP)
+        # the reference agrees with trial division at both ends of its range
+        for n in [*range(2, 5000), *range(qgrid.TABLE_CAP - 5000, qgrid.TABLE_CAP + 1)]:
+            factors = oracle.trial_factor(n)
+            assert lpf[n] == (factors[0] if len(factors) > 1 else 0), n
         for n in range(5, qgrid.TABLE_CAP + 1):
             if n % 6 in (1, 5):
-                factors = oracle.trial_factor(n)
-                assert qgrid.axis_divisor(n) == (factors[0] if len(factors) > 1 else None), n
+                assert qgrid.axis_divisor(n) == (lpf[n] or None), n
 
-    @pytest.mark.parametrize("bound", GROWTH_BOUNDS + AXIS_PRIME_PRODUCTS)
+    @pytest.mark.parametrize("bound", BOUNDS)
     def test_answers_at_a_bound(self, monkeypatch, bound):
         assert full_factorize(bound) == oracle.trial_factor(bound)
         for n in near(bound):
-            monkeypatch.setattr(qgrid, "_lpf", bytearray())  # grown by this n alone
+            monkeypatch.setattr(qgrid, "_blocks", [None] * len(qgrid._blocks))  # built by this n alone
             assert grid_answers(n) == reference_answers(n), n
-        for n in near(bound):  # grown by the n below it first
+        for n in near(bound):  # built by the n below it first
             assert grid_answers(n) == reference_answers(n), n
 
     def test_call_order_does_not_change_the_answers(self, monkeypatch):
-        ns = [n for bound in GROWTH_BOUNDS + AXIS_PRIME_PRODUCTS for n in near(bound)]
+        ns = [n for bound in BOUNDS for n in near(bound)]
         ascending = {n: grid_answers(n) for n in ns}
-        grown_up = qgrid._lpf
-        monkeypatch.setattr(qgrid, "_lpf", bytearray())
+        built_up = qgrid._blocks
+        monkeypatch.setattr(qgrid, "_blocks", [None] * len(built_up))
         descending = {n: grid_answers(n) for n in reversed(ns)}
         assert descending == ascending
-        assert qgrid._lpf == grown_up
+        assert qgrid._blocks == built_up  # the same blocks built, byte for byte
 
     def test_growth_stays_within_the_cap(self):
+        last = len(qgrid._blocks) - 1
+        below, above = min(near(qgrid.TABLE_CAP + 1)), max(near(qgrid.TABLE_CAP))
+        assert below <= qgrid.TABLE_CAP < above
         qgrid.axis_divisor(91)
-        assert len(qgrid._lpf) == 1024 // 3 + 1
-        qgrid.axis_divisor(qgrid.TABLE_CAP - 1)
-        assert len(qgrid._lpf) == qgrid.TABLE_CAP // 3 + 1
-        qgrid.axis_divisor(qgrid.TABLE_CAP + 3)  # above the cap: no table
-        assert len(qgrid._lpf) == qgrid.TABLE_CAP // 3 + 1
+        assert built_blocks() == [0]
+        qgrid.axis_divisor(below)
+        assert built_blocks() == [0, last]
+        # the last block ends at the cap's slot
+        assert last * qgrid.BLOCK_SLOTS + len(qgrid._blocks[last]) == qgrid.TABLE_CAP // 3 + 1
+        qgrid.axis_divisor(above)  # above the cap: no table
+        assert built_blocks() == [0, last]
+
+    def test_pair_indices_fit_a_byte(self):
+        for b in range(len(qgrid._blocks)):
+            qgrid.axis_divisor(max(3 * b * qgrid.BLOCK_SLOTS, 5))
+        assert built_blocks() == list(range(len(qgrid._blocks)))
+        assert sum(map(len, qgrid._blocks)) == qgrid.TABLE_CAP // 3 + 1
+        # the largest pair written is WALK_LIMIT's, the last a byte holds
+        assert max(map(max, qgrid._blocks)) == (qgrid.WALK_LIMIT + 1) // 6 == 255
 
 
 def test_max_value_is_64_bit_cap():

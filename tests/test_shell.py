@@ -180,15 +180,17 @@ class TestWheelCommand:
         assert "internal error" not in err
 
     def test_pipeline_sieve_disagreement_aborts(self, capsys, tmp_path, monkeypatch):
+        honest = pipeline.is_prime  # the stub must not call the name it replaces
+
         def lying(n, strategy=SearchStrategy.ASCENDING_SCAN):
             if n == 49:
                 return PrimalityVerdict(49, VerdictKind.PRIME, None, None, strategy)
-            return pipeline.is_prime(n, strategy)
+            return honest(n, strategy)
 
         monkeypatch.setattr(shell.pipeline, "is_prime", lying)
         code, _, err = run(capsys, "wheel", "--limit", "60", "--out", str(tmp_path / "w.svg"))
         assert code == 3
-        assert "internal error" in err
+        assert err == "internal error: pipeline and sieve disagree at 49\n"
 
 
 class TestWheelRendering:

@@ -3,7 +3,8 @@
 All are named tuples.  The four frozen ones (grid cell, factor pair, wheel
 config, wheel render) are immutable and hashable; the three reports are
 read-only records with a field-order repr and field-wise equality, and
-unhashable, since each holds a dict or a list.
+unhashable, since each holds a dict or a list.  The verdicts that
+is_prime builds without the constructor equal the constructor's.
 """
 
 from fractions import Fraction
@@ -12,8 +13,16 @@ import pytest
 
 from quasiprime.numerics import WheelConfig
 from quasiprime.oracle import MismatchReport
-from quasiprime.pipeline import DensityReport, FactorPair, Stage
-from quasiprime.qgrid import GridCoordinate
+from quasiprime.pipeline import (
+    DensityReport,
+    FactorPair,
+    PrimalityVerdict,
+    SearchStrategy,
+    Stage,
+    VerdictKind,
+    is_prime,
+)
+from quasiprime.qgrid import GridCoordinate, axis_index
 from quasiprime.shell import BenchReport, WheelRender
 
 FROZEN = [
@@ -83,6 +92,37 @@ class TestFrozen:
         assert FactorPair(7, 13).product == 91
         assert WheelConfig(24, 2).limit == 48
         assert WheelRender(24, 49, frozenset(), frozenset()).rings == 3
+
+
+P, Q = 3037000453, 3037000493  # the largest balanced semiprime P * Q within the 64-bit cap
+# Each of is_prime's paths, by n: (kind, witness, deciding stage), the same
+# under both strategies.
+VERDICT_PATHS = {
+    "invalid": (1, VerdictKind.INVALID, None, None),
+    "special-small": (3, VerdictKind.PRIME_SPECIAL_SMALL, None, None),
+    "prefilter-witness-2": (1000, VerdictKind.COMPOSITE, 2, Stage.NOT_ODD),
+    "prefilter-witness-3": (21, VerdictKind.COMPOSITE, 3, Stage.DIGITAL_ROOT_369),
+    "grid-prime": (97, VerdictKind.PRIME, None, Stage.GRID_SEARCH),
+    "grid-composite": (91, VerdictKind.COMPOSITE, GridCoordinate(2, 4, 91), Stage.GRID_SEARCH),
+    "grid-composite-after-last-digit": (35, VerdictKind.COMPOSITE, GridCoordinate(1, 2, 35), Stage.LAST_DIGIT),
+    "above-the-cap-prime": (2**63 - 25, VerdictKind.PRIME, None, Stage.GRID_SEARCH),
+    "above-the-cap-composite": (
+        P * Q, VerdictKind.COMPOSITE, GridCoordinate(axis_index(P), axis_index(Q), P * Q), Stage.GRID_SEARCH,
+    ),
+}
+
+
+class TestVerdicts:
+    @pytest.mark.parametrize("strategy", list(SearchStrategy), ids=[s.value for s in SearchStrategy])
+    @pytest.mark.parametrize("n, kind, witness, stage", VERDICT_PATHS.values(), ids=VERDICT_PATHS.keys())
+    def test_is_prime_builds_the_constructors_verdict(self, n, kind, witness, stage, strategy):
+        # is_prime skips the constructor; what it returns must not tell
+        got = is_prime(n, strategy)
+        want = PrimalityVerdict(n=n, kind=kind, witness=witness, deciding_stage=stage, strategy=strategy)
+        assert type(got) is PrimalityVerdict
+        assert got == want and repr(got) == repr(want) and hash(got) == hash(want)
+        assert got.to_json_dict() == want.to_json_dict()
+        assert got.is_prime is want.is_prime
 
 
 DENSITY = {
