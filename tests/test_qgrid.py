@@ -454,7 +454,7 @@ class TestLeastFactorTable:
 
     def test_pair_indices_fit_a_byte(self):
         for b in range(len(qgrid._blocks)):
-            qgrid.axis_divisor(max(3 * b * qgrid.BLOCK_SLOTS, 5))
+            qgrid.axis_divisor(3 * b * qgrid.BLOCK_SLOTS + 1)  # the n of the block's first slot
         assert built_blocks() == list(range(len(qgrid._blocks)))
         assert sum(map(len, qgrid._blocks)) == qgrid.TABLE_CAP // 3 + 1
         # the largest pair written is WALK_LIMIT's, the last a byte holds
