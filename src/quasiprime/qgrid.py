@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from enum import Enum
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 from .errors import NotOnPrimeModuliError, ResourceLimitError
 from .numerics import digital_root, require_int
@@ -65,7 +65,7 @@ _BLOCK_MASK = BLOCK_SLOTS - 1
 _blocks: list[bytearray | None] = [None] * -(-(TABLE_CAP // 3 + 1) // BLOCK_SLOTS)
 # The axis primes up to WALK_LIMIT, ascending; listed once, by the first build.
 _axis_primes: list[int] = []
-_PRIMES_5_TO_37 = 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37  # the axis primes below 41
+_PRIMES_5_TO_37 = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37)  # the axis primes below 41
 # (a, psi_k): the k-th prime base and the least composite that passes the
 # first k of them (Jaeschke, Math. Comp. 1993; Jiang & Deng, Math. Comp.
 # 2014; Sorenson & Webster, Math. Comp. 2017).  psi_12 > 3.18e23 > MAX_VALUE.
@@ -224,16 +224,14 @@ def _build(b: int) -> bytearray:
     value, each + 6t), from the first of each that falls in the block.  The
     primes go in descending order, so the least factor of each slot is
     written last.  Every axis prime up to the root of the block's largest n
-    is written, so each slot is exact.  The primes are listed once: an axis
-    value up to WALK_LIMIT < 41**2 = 1681 is prime when it is one of the axis
-    primes 5 to 37 or shares no factor with them, since every composite
-    below 41**2 has a prime factor below 41.
+    is written, so each slot is exact.  The primes are listed once: those
+    below 41, then the axis values up to WALK_LIMIT < 41**2 coprime to them,
+    since every composite below 41**2 has a prime factor below 41.
     """
     if not _axis_primes:
-        _axis_primes.extend(
-            p for p in range(5, WALK_LIMIT + 1, 2)
-            if p % 3 and (p < 41 or gcd(p, _PRIMES_5_TO_37) == 1)
-        )
+        skip = prod(_PRIMES_5_TO_37)
+        _axis_primes.extend(_PRIMES_5_TO_37)
+        _axis_primes.extend(p for p in range(41, WALK_LIMIT + 1, 2) if p % 3 and gcd(p, skip) == 1)
     lo = b << _BLOCK_BITS
     size = min(BLOCK_SLOTS, TABLE_CAP // 3 + 1 - lo)
     top = 3 * (lo + size) - 1  # the largest n with a slot in the block

@@ -134,3 +134,63 @@ class TestVerifyRange:
             "ok",
         }
         assert d["ok"] is True
+
+
+BLOCK = oracle._VERIFY_BLOCK
+# The limits one below, at and one past the end of the second block; blocks start at n = 2.
+SECOND_BOUNDARY = 1 + 2 * BLOCK
+
+
+def _lying_classifier(lies):
+    """The pipeline, with the verdict flipped between prime and composite at each n in lies."""
+
+    def classify(n, strategy):
+        verdict = pipeline.is_prime(n, strategy)
+        if n not in lies:
+            return verdict
+        kind = VerdictKind.COMPOSITE if verdict.is_prime else VerdictKind.PRIME
+        return PrimalityVerdict(n, kind, None, verdict.deciding_stage, strategy)
+
+    return classify
+
+
+class TestVerifyRangeBlocks:
+    @pytest.mark.parametrize("limit", [SECOND_BOUNDARY - 1, SECOND_BOUNDARY, SECOND_BOUNDARY + 1])
+    def test_mismatches_at_the_block_edges(self, limit):
+        # n = 2 and 3, the last n of the first block and the first of the second, and the limit
+        lies = {2, 3, 1 + BLOCK, 2 + BLOCK, limit}
+        classify = _lying_classifier(lies)
+        table = oracle.sieve(limit)
+        want = []
+        for n in range(2, limit + 1):  # the plain per-n comparison
+            verdict = classify(n, SearchStrategy.ASCENDING_SCAN)
+            truth = table.is_prime(n)
+            if verdict.is_prime != truth:
+                want.append((n, verdict.kind.value, "prime" if truth else "composite"))
+        assert [n for n, _, _ in want] == sorted(lies)
+        report = oracle.verify_range(limit, factor_stride=0, classify=classify)
+        assert report.mismatches == want
+
+    def test_classify_is_called_once_per_n_in_ascending_order(self):
+        limit = SECOND_BOUNDARY + 1
+        seen = []
+
+        def counting(n, strategy):
+            seen.append(n)
+            return pipeline.is_prime(n, strategy)
+
+        assert oracle.verify_range(limit, factor_stride=0, classify=counting).ok
+        assert len(seen) == limit - 1
+        assert seen == list(range(2, limit + 1))
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"limit": 100.0}, {"limit": True}, {"limit": 100, "factor_stride": 5.0}],
+        ids=["float-limit", "bool-limit", "float-stride"],
+    )
+    def test_a_bad_type_is_refused_before_any_work(self, monkeypatch, kwargs):
+        def no_work(*args):
+            raise AssertionError("work started before the arguments were checked")
+
+        monkeypatch.setattr(oracle, "sieve", no_work)
+        with pytest.raises(TypeError, match="must be an int"):
+            oracle.verify_range(**kwargs, classify=no_work, factorize=no_work)

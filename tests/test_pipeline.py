@@ -259,6 +259,10 @@ class TestPairTables:
             dr_pairs(bad)
 
 
+def verify_with_stride(limit, factor_stride):
+    return oracle.verify_range(limit, factor_stride=factor_stride)
+
+
 @pytest.mark.parametrize(
     "fn, args",
     [
@@ -288,6 +292,12 @@ class TestPairTables:
         pytest.param(last_digit_pairs, (True,), id="last_digit_pairs-bool"),
         pytest.param(dr_pairs, (1.0,), id="dr_pairs"),
         pytest.param(dr_pairs, (True,), id="dr_pairs-bool"),
+        pytest.param(oracle.sieve, (50.0,), id="sieve"),
+        pytest.param(oracle.sieve, (True,), id="sieve-bool"),
+        pytest.param(oracle.verify_range, (100.0,), id="verify_range"),
+        pytest.param(oracle.verify_range, (True,), id="verify_range-bool"),
+        pytest.param(verify_with_stride, (100, 5.0), id="verify_range-factor_stride"),
+        pytest.param(verify_with_stride, (100, True), id="verify_range-factor_stride-bool"),
     ],
 )
 def test_non_int_input_is_a_type_error(fn, args):

@@ -452,6 +452,13 @@ class TestLeastFactorTable:
         qgrid.axis_divisor(above)  # above the cap: no table
         assert built_blocks() == [0, last]
 
+    def test_the_prime_list_holds_exactly_the_axis_primes(self, monkeypatch):
+        sympy = pytest.importorskip("sympy")
+        monkeypatch.setattr(qgrid, "_axis_primes", [])  # listed afresh by the next build
+        qgrid.axis_divisor(91)
+        # no composite axis value below 41, such as 25 or 35, slips in
+        assert qgrid._axis_primes == list(sympy.primerange(5, qgrid.WALK_LIMIT + 1))
+
     def test_pair_indices_fit_a_byte(self):
         for b in range(len(qgrid._blocks)):
             qgrid.axis_divisor(3 * b * qgrid.BLOCK_SLOTS + 1)  # the n of the block's first slot
