@@ -5,98 +5,22 @@ The sieve oracle's names are served on first access (PEP 562), so a caller
 that never checks against the sieve never loads it.
 """
 
-from .numerics import (
-    TripletClass,
-    WheelConfig,
-    admissible_moduli,
-    digital_root,
-    dr_add,
-    dr_mul,
-    fibonacci_dr_cycle,
-    modulus_of,
-    prime_moduli,
-    triplet_class,
-)
-from .qgrid import (
-    GridCoordinate,
-    QuasiPrimeTag,
-    axis_index,
-    axis_value,
-    contains,
-    diagonal_dr,
-    grid_value,
-    quasiprime_tag,
-    region,
-)
-from .pipeline import (
-    DensityReport,
-    FactorPair,
-    FilterVerdict,
-    PrimalityVerdict,
-    SearchStrategy,
-    Stage,
-    VerdictKind,
-    dr_pairs,
-    factor_on_grid,
-    full_factorize,
-    is_prime,
-    last_digit_pairs,
-    prefilter,
-    survivor_density,
-)
-from .errors import (
-    ConsistencyError,
-    NoFactorsError,
-    NotOnPrimeModuliError,
-    NotQuasiPrimeError,
-    ResourceLimitError,
-)
+from . import errors, numerics, pipeline, qgrid
+from .errors import *
+from .numerics import *
+from .pipeline import *
+from .qgrid import *
 
 __version__ = "0.1.0"
 
+# Written out, since reading the oracle's own list would import it.
 _ORACLE_NAMES = ("MismatchReport", "PrimeTable", "sieve", "trial_factor", "trial_is_prime", "verify_range")
 
-__all__ = [
-    "TripletClass",
-    "WheelConfig",
-    "admissible_moduli",
-    "digital_root",
-    "dr_add",
-    "dr_mul",
-    "fibonacci_dr_cycle",
-    "modulus_of",
-    "prime_moduli",
-    "triplet_class",
-    "GridCoordinate",
-    "QuasiPrimeTag",
-    "axis_index",
-    "axis_value",
-    "contains",
-    "diagonal_dr",
-    "grid_value",
-    "quasiprime_tag",
-    "region",
-    "DensityReport",
-    "FactorPair",
-    "FilterVerdict",
-    "PrimalityVerdict",
-    "SearchStrategy",
-    "Stage",
-    "VerdictKind",
-    "dr_pairs",
-    "factor_on_grid",
-    "full_factorize",
-    "is_prime",
-    "last_digit_pairs",
-    "prefilter",
-    "survivor_density",
-    *_ORACLE_NAMES,
-    "ConsistencyError",
-    "NoFactorsError",
-    "NotOnPrimeModuliError",
-    "NotQuasiPrimeError",
-    "ResourceLimitError",
-]
+__all__ = list(_ORACLE_NAMES)
+__all__ += errors.__all__
+__all__ += numerics.__all__
+__all__ += qgrid.__all__
+__all__ += pipeline.__all__
 
 
 def __getattr__(name: str):

@@ -1,4 +1,17 @@
-"""Exception types shared across the package."""
+"""Exception types and the int guard shared across the package.
+
+Nothing here depends on the wheel or grid machinery, so the sieve oracle
+can share the guard and stay independent of what it checks.
+"""
+
+__all__ = ["ConsistencyError", "NoFactorsError", "NotOnPrimeModuliError", "NotQuasiPrimeError",
+           "ResourceLimitError"]
+
+
+def require_int(value, what: str) -> None:
+    """Reject anything but a plain int, bool included, before any work is done."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{what} must be an int, got {type(value).__name__}")
 
 
 class NotOnPrimeModuliError(ValueError):
@@ -14,7 +27,7 @@ class NotQuasiPrimeError(ValueError):
 
 
 class ResourceLimitError(ValueError):
-    """A size cap (sieve limit, region extent, render limit) was exceeded."""
+    """A size cap (64-bit input, sieve limit, region extent, render limit) was exceeded."""
 
 
 class ConsistencyError(RuntimeError):

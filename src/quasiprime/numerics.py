@@ -10,11 +10,10 @@ from collections import namedtuple
 from enum import Enum
 from math import gcd
 
+from .errors import require_int
 
-def require_int(n) -> None:
-    """Reject anything but a plain int, bool included, before it meets the arithmetic."""
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise TypeError(f"expected an int, got {type(n).__name__}")
+__all__ = ["TripletClass", "WheelConfig", "admissible_moduli", "digital_root", "dr_add", "dr_mul",
+           "fibonacci_dr_cycle", "modulus_of", "prime_moduli", "triplet_class"]
 
 
 class TripletClass(Enum):
@@ -36,7 +35,7 @@ def digital_root(n: int) -> int:
     digits converges to.
     """
     if type(n) is not int:
-        require_int(n)
+        require_int(n, "n")
     if n < 1:
         raise ValueError(f"digital root is defined for positive integers, got {n}")
     return 1 + (n - 1) % 9
@@ -74,7 +73,7 @@ def fibonacci_dr_cycle() -> list[int]:
 
 def _check_sides(sides: int) -> None:
     if type(sides) is not int:
-        require_int(sides)
+        require_int(sides, "wheel sides")
     if sides < 6 or sides % 6 != 0:
         raise ValueError(f"wheel sides must be a positive multiple of 6, got {sides}")
 
@@ -86,7 +85,7 @@ def modulus_of(n: int, sides: int) -> int:
     n = sides+1 wraps back to spoke 1.
     """
     if type(n) is not int:
-        require_int(n)
+        require_int(n, "n")
     if n < 1:
         raise ValueError(f"wheel positions start at 1, got {n}")
     _check_sides(sides)
@@ -117,7 +116,7 @@ class WheelConfig(namedtuple("WheelConfig", "sides rings")):
     def __new__(cls, sides: int, rings: int):
         _check_sides(sides)
         if type(rings) is not int:
-            require_int(rings)
+            require_int(rings, "rings")
         if rings < 1:
             raise ValueError(f"rings must be positive, got {rings}")
         return tuple.__new__(cls, (sides, rings))

@@ -2,8 +2,10 @@
 
 Everything here is deliberately boring.  The staged pipeline is validated
 against this module, so nothing in it may depend on the wheel, grid, or
-digital-root machinery.  verify_range asks the pipeline once per n and
-compares its answers with the sieve a block of n at a time, as bytes.
+digital-root machinery: it shares only the exception types and the int
+guard of errors, which refuses a float or bool n in every public check.
+verify_range asks the pipeline once per n and compares its answers with
+the sieve a block of n at a time, as bytes.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from collections.abc import Callable, Iterable
 from itertools import compress
 from math import isqrt
 
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, require_int
 
 SIEVE_LIMIT_CAP = 10**8
 VERIFY_LIMIT_CAP = 10**7
@@ -23,12 +25,6 @@ VERIFY_LIMIT_CAP = 10**7
 # 33.6-36.6 and 43.3-47.1 ms, flat within the spread.  4096 holds a block's
 # verdict kinds in a 32 KB list, where a whole range at the cap would take 80 MB.
 _VERIFY_BLOCK = 4096
-
-
-def _require_int(value, what: str) -> None:
-    """Reject anything but a plain int, bool included, before any work is done."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise TypeError(f"{what} must be an int, got {type(value).__name__}")
 
 
 class PrimeTable:
@@ -42,6 +38,8 @@ class PrimeTable:
         self._odd = odd_bits
 
     def is_prime(self, n: int) -> bool:
+        if type(n) is not int:
+            require_int(n, "n")
         if n > self.limit:
             raise ValueError(f"{n} exceeds table limit {self.limit}")
         if n < 2:
@@ -62,7 +60,7 @@ class PrimeTable:
 
 def sieve(limit: int) -> PrimeTable:
     """Sieve of Eratosthenes over the odd numbers up to ``limit``."""
-    _require_int(limit, "sieve limit")
+    require_int(limit, "sieve limit")
     if limit < 2:
         raise ValueError("sieve limit must be at least 2")
     if limit > SIEVE_LIMIT_CAP:
@@ -78,6 +76,8 @@ def sieve(limit: int) -> PrimeTable:
 
 def trial_is_prime(n: int) -> bool:
     """Plain trial-division primality check, the benchmark baseline."""
+    if type(n) is not int:  # is_prime pays the same check, so bench compares like with like
+        require_int(n, "n")
     if n < 2:
         return False
     if n < 4:
@@ -94,6 +94,8 @@ def trial_is_prime(n: int) -> bool:
 
 def trial_factor(n: int) -> list[int]:
     """Sorted prime multiset of n by trial division."""
+    if type(n) is not int:
+        require_int(n, "n")
     if n < 2:
         raise ValueError("factorization needs n >= 2")
     factors: list[int] = []
@@ -171,8 +173,8 @@ def verify_range(
     """
     from . import pipeline  # deferred: the oracle must not depend on it at import time
 
-    _require_int(limit, "verify limit")
-    _require_int(factor_stride, "factor stride")
+    require_int(limit, "verify limit")
+    require_int(factor_stride, "factor stride")
     if limit > VERIFY_LIMIT_CAP:
         raise ResourceLimitError(f"verify limit {limit} exceeds cap {VERIFY_LIMIT_CAP}")
     if limit < 2:

@@ -27,9 +27,13 @@ from collections import namedtuple
 from enum import Enum
 
 from . import qgrid
-from .errors import NoFactorsError, NotQuasiPrimeError
-from .numerics import digital_root, require_int
-from .qgrid import MAX_VALUE, GridCoordinate
+from .errors import NoFactorsError, NotQuasiPrimeError, require_int
+from .numerics import digital_root
+from .qgrid import MAX_VALUE, GridCoordinate, require_in_cap
+
+__all__ = ["DensityReport", "FactorPair", "FilterVerdict", "PrimalityVerdict", "SearchStrategy",
+           "Stage", "VerdictKind", "dr_pairs", "factor_on_grid", "full_factorize", "is_prime",
+           "last_digit_pairs", "prefilter", "survivor_density"]
 
 
 class Stage(str, Enum):
@@ -102,9 +106,9 @@ class FactorPair(namedtuple("FactorPair", "a b")):
 
     def __new__(cls, a: int, b: int):
         if type(a) is not int:
-            require_int(a)
+            require_int(a, "a")
         if type(b) is not int:
-            require_int(b)
+            require_int(b, "b")
         if not (5 <= a <= b):
             raise ValueError(f"need 5 <= a <= b, got ({a}, {b})")
         if a % 6 not in (1, 5) or b % 6 not in (1, 5):
@@ -163,18 +167,16 @@ _STAGE_AT = tuple(_stage_row(r or 360) for r in range(360))
 
 def prefilter(n: int) -> FilterVerdict:
     """Run the four cheap stages in order; Pass means n survives them all."""
-    require_int(n)
+    require_in_cap(n)
     if n < 2:
         raise ValueError(f"prefilter is defined for n >= 2, got {n}")
-    if n > MAX_VALUE:
-        raise ValueError(f"{n} exceeds the 64-bit input cap")
     stage = _STAGE_AT[n % 360][0]
     return FilterVerdict(stage is None, stage)
 
 
 def last_digit_pairs(d: int) -> frozenset[tuple[int, int]]:
     """Unordered last-digit pairs (x, y) from {1,3,7,9} with x*y ending in d."""
-    require_int(d)
+    require_int(d, "last digit")
     if d not in (1, 3, 7, 9):
         raise ValueError(f"last digit of a candidate must be 1, 3, 7 or 9, got {d}")
     return frozenset(
@@ -187,7 +189,7 @@ def last_digit_pairs(d: int) -> frozenset[tuple[int, int]]:
 
 def dr_pairs(r: int) -> frozenset[tuple[int, int]]:
     """Unordered digital-root pairs (x, y) from {1,2,4,5,7,8} whose product has root r."""
-    require_int(r)
+    require_int(r, "digital root")
     if r in (3, 6, 9):
         raise ValueError(f"no factor coprime to 3 yields a product with digital root {r}")
     if r not in (1, 2, 4, 5, 7, 8):
@@ -204,15 +206,15 @@ def is_prime(n: int, strategy: SearchStrategy = SearchStrategy.ASCENDING_SCAN) -
     # the strategy costs one identity check or two.  A plain string equals a
     # member but is not one, so it is refused rather than read as asc.
     if type(n) is not int:
-        require_int(n)
+        require_int(n, "n")
     if strategy is _ASCENDING_SCAN:
         descending = False
     elif strategy is _BALANCED_FIRST:
         descending = True
     else:
         raise TypeError(f"expected a SearchStrategy, got {type(strategy).__name__}")
-    if n > MAX_VALUE:
-        raise ValueError(f"{n} exceeds the 64-bit input cap")
+    if n > MAX_VALUE:  # the guard is called only to raise
+        require_in_cap(n)
     # PrimalityVerdict's constructor checks nothing, so tuple.__new__ builds
     # the same verdict without its keyword-argument handling.
     if n < 4:
@@ -234,11 +236,9 @@ def factor_on_grid(n: int, strategy: SearchStrategy = SearchStrategy.ASCENDING_S
     AscendingScan returns the pair with the smallest a (the least prime
     factor); BalancedFirst returns the pair minimizing b - a.
     """
-    require_int(n)
     if not isinstance(strategy, SearchStrategy):
         raise TypeError(f"expected a SearchStrategy, got {type(strategy).__name__}")
-    if n > MAX_VALUE:
-        raise ValueError(f"{n} exceeds the 64-bit input cap")
+    require_in_cap(n)
     if n < 2:
         raise ValueError(f"factorization needs n >= 2, got {n}")
     if n % 2 == 0 or n % 3 == 0:
@@ -256,9 +256,7 @@ def full_factorize(n: int) -> list[int]:
     first, then the grid axis splits off the rest: table lookups up to
     qgrid.TABLE_CAP, and above it a short walk, Miller-Rabin and rho.
     """
-    require_int(n)
-    if n > MAX_VALUE:
-        raise ValueError(f"{n} exceeds the 64-bit input cap")
+    require_in_cap(n)
     if n < 2:
         raise ValueError(f"factorization needs n >= 2, got {n}")
     factors: list[int] = []
@@ -277,7 +275,7 @@ def survivor_density(limit: int) -> DensityReport:
     the counts come from the stage table in closed form: limit // 360 full
     periods of it, plus its rows 1..limit % 360 for the last, partial one.
     """
-    require_int(limit)
+    require_int(limit, "density limit")
     if limit < 100:
         raise ValueError(f"density needs limit >= 100, got {limit}")
     global _Fraction

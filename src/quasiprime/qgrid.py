@@ -25,10 +25,13 @@ from collections import namedtuple
 from enum import Enum
 from math import gcd, isqrt, prod
 
-from .errors import NotOnPrimeModuliError, ResourceLimitError
-from .numerics import digital_root, require_int
+from .errors import NotOnPrimeModuliError, ResourceLimitError, require_int
+from .numerics import digital_root
 
-MAX_VALUE = 2**63 - 1
+__all__ = ["GridCoordinate", "QuasiPrimeTag", "axis_index", "axis_value", "contains",
+           "diagonal_dr", "grid_value", "quasiprime_tag", "region"]
+
+MAX_VALUE = 2**63 - 1  # the input cap of every entry point that takes an n
 REGION_CELL_CAP = 10**4
 # n with isqrt(n) <= WALK_LIMIT read the table; larger n take a walk over the
 # axis values up to SMALL_SPAN, then Miller-Rabin and rho.  A table byte holds
@@ -90,7 +93,7 @@ def axis_value(k: int) -> int:
     """k-th axis value: a(2t-1) = 6t-1, a(2t) = 6t+1, so a(1) = 5, a(2) = 7, ..."""
     # Every witness runs both axis helpers twice, so an exact int skips the call.
     if type(k) is not int:
-        require_int(k)
+        require_int(k, "axis index")
     if k < 1:
         raise ValueError(f"axis indices start at 1, got {k}")
     half, rem = divmod(k, 2)
@@ -103,7 +106,7 @@ def axis_value(k: int) -> int:
 def axis_index(v: int) -> int | None:
     """Inverse of axis_value; None when v is not on the axis."""
     if type(v) is not int:
-        require_int(v)
+        require_int(v, "axis value")
     if v < 5:
         return None
     r = v % 6
@@ -121,7 +124,7 @@ class GridCoordinate(namedtuple("GridCoordinate", "i j value")):
 
     def __new__(cls, i: int, j: int, value: int):
         if type(value) is not int:
-            require_int(value)
+            require_int(value, "cell value")
         if not (1 <= i <= j):
             raise ValueError(f"need 1 <= i <= j, got ({i}, {j})")
         if value != axis_value(i) * axis_value(j):
@@ -140,6 +143,14 @@ def _cell(a: int, n: int) -> GridCoordinate:
     a * (n // a) == n holds already, so the constructor's checks are skipped.
     """
     return tuple.__new__(GridCoordinate, (a // 3, n // a // 3, n))
+
+
+def require_in_cap(n: int) -> None:
+    """Refuse an n that is not an int or is above MAX_VALUE."""
+    if type(n) is not int:
+        require_int(n, "n")
+    if n > MAX_VALUE:
+        raise ResourceLimitError(f"{n} exceeds the 64-bit cap")
 
 
 class QuasiPrimeTag(Enum):
@@ -184,13 +195,16 @@ def axis_divisor(n: int, descending: bool = False) -> int | None:
     r = isqrt(n)
     if descending:
         a = _walk(n, range(_pair_start(r), r - SMALL_SPAN, -6), True)
+        # Miller-Rabin first, though axis_factors may run it on n again: a
+        # prime would otherwise pay axis_factors' upward walk as well.
         if a is not None or _is_prime_mr(n):
             return a
         return _largest_divisor(axis_factors(n), r)
     a = _walk(n, range(5, SMALL_SPAN + 1, 6), False)
-    if a is not None or _is_prime_mr(n):
+    if a is not None:
         return a
-    return min(_split(n))
+    factors = _split(n)  # Miller-Rabin in it decides whether n is prime, once
+    return min(factors) if len(factors) > 1 else None
 
 
 def axis_factors(n: int) -> list[int]:
@@ -359,9 +373,7 @@ def contains(n: int) -> GridCoordinate | None:
     Returns the coordinate with the smallest axis divisor, which for a
     composite n coprime to 6 is its smallest prime factor.
     """
-    require_int(n)
-    if n > MAX_VALUE:
-        raise ResourceLimitError(f"{n} exceeds the 64-bit cap")
+    require_in_cap(n)
     if n < 5 or n % 6 not in (1, 5):
         raise NotOnPrimeModuliError(f"{n} is not on the 6k±1 moduli")
     a = axis_divisor(n)
@@ -382,7 +394,7 @@ def diagonal_dr(count: int) -> list[int]:
 
     A diagonal is cells of the grid, so count is capped like a region.
     """
-    require_int(count)
+    require_int(count, "count")
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
     if count > REGION_CELL_CAP:
@@ -392,6 +404,9 @@ def diagonal_dr(count: int) -> list[int]:
 
 def region(i_lo: int, i_hi: int, j_lo: int, j_hi: int) -> list[list[int]]:
     """Rectangular table of grid values, rows i_lo..i_hi by columns j_lo..j_hi."""
+    for bound in (i_lo, i_hi, j_lo, j_hi):
+        if type(bound) is not int:
+            require_int(bound, "region bound")
     if not (1 <= i_lo <= i_hi and 1 <= j_lo <= j_hi):
         raise ValueError("region bounds must satisfy 1 <= lo <= hi")
     cells = (i_hi - i_lo + 1) * (j_hi - j_lo + 1)
@@ -399,6 +414,5 @@ def region(i_lo: int, i_hi: int, j_lo: int, j_hi: int) -> list[list[int]]:
         raise ResourceLimitError(f"region of {cells} cells exceeds cap {REGION_CELL_CAP}")
     rows = [axis_value(i) for i in range(i_lo, i_hi + 1)]
     cols = [axis_value(j) for j in range(j_lo, j_hi + 1)]
-    if rows[-1] * cols[-1] > MAX_VALUE:  # both axes ascend, so this cell is the largest
-        raise ResourceLimitError(f"cell ({i_hi}, {j_hi}) exceeds the 64-bit cap")
+    grid_value(i_hi, j_hi)  # both axes ascend, so this cell is the largest: past the cap, it raises
     return [[a * b for b in cols] for a in rows]

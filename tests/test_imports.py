@@ -8,6 +8,7 @@ dependency cannot creep back into `import quasiprime` unnoticed.
 import os
 import subprocess
 import sys
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -146,3 +147,27 @@ def test_export_set_is_whole():
     assert qgrid.require_int is numerics.require_int
     with pytest.raises(AttributeError, match="no_such_name"):
         quasiprime.no_such_name
+
+
+# Each module declares its own exports; the package adds the oracle's, which
+# it lists by name so that the oracle stays unloaded until one is used.
+MODULES = ("errors", "numerics", "qgrid", "pipeline")
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_each_module_declares_its_exports_once(name):
+    module = import_module(f"quasiprime.{name}")
+    assert len(set(module.__all__)) == len(module.__all__)
+    for export in module.__all__:
+        assert export in vars(module), export
+
+
+def test_package_exports_are_the_modules_lists_and_the_oracle_names():
+    import quasiprime
+
+    declared = [(name, export) for name in MODULES for export in import_module(f"quasiprime.{name}").__all__]
+    declared += [("oracle", export) for export in quasiprime._ORACLE_NAMES]
+    assert sorted(quasiprime.__all__) == sorted(export for _, export in declared)
+    assert len(set(quasiprime.__all__)) == len(quasiprime.__all__)
+    for name, export in declared:
+        assert getattr(quasiprime, export) is getattr(import_module(f"quasiprime.{name}"), export), export

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasiprime import oracle
-from quasiprime.errors import NoFactorsError, NotQuasiPrimeError
+from quasiprime.errors import NoFactorsError, NotQuasiPrimeError, ResourceLimitError
 from quasiprime.numerics import WheelConfig, digital_root, dr_mul, modulus_of, prime_moduli
 from quasiprime.pipeline import (
     _STAGE_AT,
@@ -23,7 +23,15 @@ from quasiprime.pipeline import (
     prefilter,
     survivor_density,
 )
-from quasiprime.qgrid import GridCoordinate, axis_index, axis_value, contains, diagonal_dr, grid_value
+from quasiprime.qgrid import (
+    GridCoordinate,
+    axis_index,
+    axis_value,
+    contains,
+    diagonal_dr,
+    grid_value,
+    region,
+)
 
 ASC = SearchStrategy.ASCENDING_SCAN
 BAL = SearchStrategy.BALANCED_FIRST
@@ -263,6 +271,10 @@ def verify_with_stride(limit, factor_stride):
     return oracle.verify_range(limit, factor_stride=factor_stride)
 
 
+def table_is_prime(n):
+    return oracle.sieve(100).is_prime(n)
+
+
 @pytest.mark.parametrize(
     "fn, args",
     [
@@ -298,6 +310,14 @@ def verify_with_stride(limit, factor_stride):
         pytest.param(oracle.verify_range, (True,), id="verify_range-bool"),
         pytest.param(verify_with_stride, (100, 5.0), id="verify_range-factor_stride"),
         pytest.param(verify_with_stride, (100, True), id="verify_range-factor_stride-bool"),
+        pytest.param(region, (1.0, 1, 1, 1), id="region"),
+        pytest.param(region, (True, True, 1, 1), id="region-bool"),
+        pytest.param(oracle.trial_is_prime, (7.5,), id="trial_is_prime"),
+        pytest.param(oracle.trial_is_prime, (True,), id="trial_is_prime-bool"),
+        pytest.param(oracle.trial_factor, (12.0,), id="trial_factor"),
+        pytest.param(oracle.trial_factor, (True,), id="trial_factor-bool"),
+        pytest.param(table_is_prime, (7.0,), id="PrimeTable.is_prime"),
+        pytest.param(table_is_prime, (True,), id="PrimeTable.is_prime-bool"),
     ],
 )
 def test_non_int_input_is_a_type_error(fn, args):
@@ -323,6 +343,16 @@ def test_strategy_other_than_a_member_is_a_type_error(fn, bad):
 def test_input_above_the_cap_is_a_value_error(fn, big):
     with pytest.raises(ValueError, match="exceeds the 64-bit"):
         fn(big)
+
+
+@pytest.mark.parametrize(
+    "fn", [is_prime, factor_on_grid, full_factorize, prefilter, contains], ids=lambda fn: fn.__name__
+)
+@pytest.mark.parametrize("big", [2**63, 10**30], ids=["2**63", "10**30"])
+def test_every_entry_point_refuses_the_cap_alike(fn, big):
+    with pytest.raises(ResourceLimitError) as refused:
+        fn(big)
+    assert str(refused.value) == f"{big} exceeds the 64-bit cap"
 
 
 def divisor_pairs(n):

@@ -343,6 +343,26 @@ class TestWalkWork:
         call(n)
         assert walks and max(walks) <= SPAN_PAIRS
 
+    @pytest.mark.parametrize(
+        "n, least",
+        [(1009 * (10**9 + 7), 1009), (1000003 * 1000033, 1000003), (10**9 + 7, None)],
+        ids=["small-times-large", "balanced", "prime"],
+    )
+    def test_ascending_runs_miller_rabin_once_on_n(self, monkeypatch, n, least):
+        # Past the walk, _split alone decides whether n is prime; the rest of
+        # its Miller-Rabin calls are on the factors rho splits off.
+        tested = []
+        mr = qgrid._is_prime_mr
+
+        def counted(m):
+            tested.append(m)
+            return mr(m)
+
+        monkeypatch.setattr(qgrid, "_is_prime_mr", counted)
+        verdict = is_prime(n, SearchStrategy.ASCENDING_SCAN)
+        assert (verdict.witness.axis_values[0] if least else verdict.witness) == least
+        assert tested.count(n) == 1
+
 
 @pytest.fixture
 def fresh_table(monkeypatch):

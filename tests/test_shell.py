@@ -102,6 +102,13 @@ class TestFactorCommand:
         assert "error" in err
 
 
+@pytest.mark.parametrize("command", ["prime", "factor"])
+def test_input_above_the_cap_is_a_usage_error(capsys, command):
+    code, out, err = run(capsys, command, "9223372036854775808")
+    assert code == 2 and out == ""
+    assert err.startswith("error: 9223372036854775808 exceeds the 64-bit cap\n")
+
+
 class TestQgridCommand:
     def test_json_row_major(self, capsys):
         code, out, _ = run(capsys, "qgrid", "--rows", "1..2", "--cols", "1..3", "--json")
