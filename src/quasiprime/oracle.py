@@ -183,8 +183,8 @@ def verify_range(
         raise ValueError(f"factor stride must be >= 0, got {factor_stride}")
     if strategy is None:
         strategy = pipeline.SearchStrategy.ASCENDING_SCAN
-    elif not isinstance(strategy, pipeline.SearchStrategy):
-        raise TypeError(f"expected a SearchStrategy, got {type(strategy).__name__}")
+    else:
+        pipeline.require_strategy(strategy)
     if classify is None:
         classify = pipeline.is_prime
     if factorize is None:

@@ -14,9 +14,13 @@ one-byte least-axis-factor table over the 6k±1 slots does it without
 trial division: one lookup gives the least factor, and the balanced pair
 comes from the factors it gives.  The table is built in blocks, each on
 the first lookup that touches it, so a one-shot call pays for one block.
-Above the cap a walk covers a short span only, and then deterministic
-Miller-Rabin, exact on the whole 64-bit domain, decides primality and
-Pollard-Brent rho factors the composites, so the witnesses are the same.
+Above the cap, asc walks a short span of small axis values only, and
+balanced asks a bounded Fermat stage, whose first hit is the pair nearest
+the reflection line.  Then deterministic Miller-Rabin, exact on the whole
+64-bit domain, decides primality, and the Fermat stage, else Pollard-Brent
+rho, splits the composites, so the witnesses are the same.  Neither
+Miller-Rabin nor the Fermat stage runs twice on n.  One guard,
+require_strategy, refuses a strategy that is not a SearchStrategy member.
 The last-digit and digital-root pair tables are tested facts about factor
 pairs, not filters on the grid search.
 """
@@ -67,6 +71,16 @@ _INVALID = VerdictKind.INVALID
 _GRID_SEARCH = Stage.GRID_SEARCH
 _ASCENDING_SCAN = SearchStrategy.ASCENDING_SCAN
 _BALANCED_FIRST = SearchStrategy.BALANCED_FIRST
+
+
+def require_strategy(strategy: object) -> None:
+    """Refuse a strategy that is not a SearchStrategy member.
+
+    A plain string equals a member but is not one, so it is refused rather
+    than read as asc.
+    """
+    if not isinstance(strategy, SearchStrategy):
+        raise TypeError(f"expected a SearchStrategy, got {type(strategy).__name__}")
 
 
 class FilterVerdict(namedtuple("FilterVerdict", "passed stage")):
@@ -203,16 +217,15 @@ def dr_pairs(r: int) -> frozenset[tuple[int, int]]:
 def is_prime(n: int, strategy: SearchStrategy = SearchStrategy.ASCENDING_SCAN) -> PrimalityVerdict:
     """Exact staged primality verdict with a checkable witness for composites."""
     # Range sweeps call this once per n, so an exact int skips the call, and
-    # the strategy costs one identity check or two.  A plain string equals a
-    # member but is not one, so it is refused rather than read as asc.
+    # the strategy costs one identity check or two.
     if type(n) is not int:
         require_int(n, "n")
     if strategy is _ASCENDING_SCAN:
         descending = False
     elif strategy is _BALANCED_FIRST:
         descending = True
-    else:
-        raise TypeError(f"expected a SearchStrategy, got {type(strategy).__name__}")
+    else:  # the guard is called only to raise
+        require_strategy(strategy)
     if n > MAX_VALUE:  # the guard is called only to raise
         require_in_cap(n)
     # PrimalityVerdict's constructor checks nothing, so tuple.__new__ builds
@@ -236,14 +249,13 @@ def factor_on_grid(n: int, strategy: SearchStrategy = SearchStrategy.ASCENDING_S
     AscendingScan returns the pair with the smallest a (the least prime
     factor); BalancedFirst returns the pair minimizing b - a.
     """
-    if not isinstance(strategy, SearchStrategy):
-        raise TypeError(f"expected a SearchStrategy, got {type(strategy).__name__}")
+    require_strategy(strategy)
     require_in_cap(n)
     if n < 2:
         raise ValueError(f"factorization needs n >= 2, got {n}")
     if n % 2 == 0 or n % 3 == 0:
         raise NotQuasiPrimeError(f"{n} has factor 2 or 3, off the quasi-prime domain")
-    a = qgrid.axis_divisor(n, descending=strategy is SearchStrategy.BALANCED_FIRST)
+    a = qgrid.axis_divisor(n, descending=strategy is _BALANCED_FIRST)
     if a is None:
         raise NoFactorsError(f"{n} is prime; the grid holds no factor pair for it")
     return FactorPair(a, n // a)
@@ -254,7 +266,8 @@ def full_factorize(n: int) -> list[int]:
 
     Factors 2 and 3 sit outside the quasi-prime domain; they are stripped
     first, then the grid axis splits off the rest: table lookups up to
-    qgrid.TABLE_CAP, and above it a short walk, Miller-Rabin and rho.
+    qgrid.TABLE_CAP, and above it a short walk, Miller-Rabin, the Fermat
+    stage and rho.
     """
     require_in_cap(n)
     if n < 2:

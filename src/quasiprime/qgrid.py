@@ -13,10 +13,14 @@ n's least prime factor, so a lookup replaces trial division.  It is the
 least-prime-factor sieve (Gries & Misra, CACM 1978) restricted to the
 wheel's 6k±1 slots (Pritchard, CACM 1981), built block by block on first
 touch, as in the segmented sieve (Bays & Hudson, BIT 1977).  Above the
-cap, a short walk over the axis values up to SMALL_SPAN comes first, then
-deterministic Miller-Rabin on at most the first 12 prime bases, which is
-exact below 3.18e23 (Sorenson & Webster, Math. Comp. 2017), far above
-MAX_VALUE, and Pollard-Brent rho (Brent, BIT 1980) splits the composites.
+cap, the least factor comes first from a short walk over the axis values
+up to SMALL_SPAN, and the factor pair nearest the reflection line first
+from a bounded Fermat stage: a runs up from ceil(sqrt(n)) over the residues
+mod 12 that n mod 24 admits, and the first a with a*a - n a square gives
+n's largest divisor <= sqrt(n).  Deterministic Miller-Rabin on at most the
+first 12 prime bases, exact below 3.18e23 (Sorenson & Webster, Math. Comp.
+2017), far above MAX_VALUE, decides the rest, and the composites are split
+by the same Fermat stage, else by Pollard-Brent rho (Brent, BIT 1980).
 """
 
 from __future__ import annotations
@@ -34,10 +38,11 @@ __all__ = ["GridCoordinate", "QuasiPrimeTag", "axis_index", "axis_value", "conta
 MAX_VALUE = 2**63 - 1  # the input cap of every entry point that takes an n
 REGION_CELL_CAP = 10**4
 # n with isqrt(n) <= WALK_LIMIT read the table; larger n take a walk over the
-# axis values up to SMALL_SPAN, then Miller-Rabin and rho.  A table byte holds
-# the pair index k <= 255 of a least factor 6k-1 or 6k+1, so WALK_LIMIT is the
-# largest axis prime with k <= 255, 1531 = 6 * 255 + 1 (no axis prime lies in
-# (1531, 1543)).  The byte, not the cost, sets it.  Per call on CPython 3.11.7
+# axis values up to SMALL_SPAN (balanced: the Fermat stage), then Miller-Rabin,
+# the Fermat stage and rho.  A table byte holds the pair index k <= 255 of a
+# least factor 6k-1 or 6k+1, so WALK_LIMIT is the largest axis prime with
+# k <= 255, 1531 = 6 * 255 + 1 (no axis prime lies in (1531, 1543)).  The
+# byte, not the cost, sets it.  Per call on CPython 3.11.7
 # (2-core VM, best of 5 over 60 n of each class, both strategies and
 # full_factorize):
 #
@@ -87,6 +92,40 @@ _MR_ROUNDS = (
     (37, 318665857834031151167461),
 )
 _RHO_BATCH = 128  # rho steps whose differences share one gcd
+# The Fermat stage tries a = ceil(sqrt(n)), ... for FERMAT_WINDOW values of a.
+# A divisor d <= s = sqrt(n) is met at a = (d + n / d) / 2, which falls as d
+# rises, so the first a with a*a - n = b*b a square gives the largest divisor,
+# a - b (Lehman, Math. Comp. 1974; McKee, Math. Comp. 1999).  For d = s - t,
+# a - s = t*t / (2 (s - t)).  The stage replaced a walk down from s over
+# SMALL_SPAN: a divisor there, t < 300, is met at a - s < 300**2 / (2 (1532 -
+# 300)) < 36.6 just above TABLE_CAP, and closer as s grows, so a window of 37
+# values of a covers the walk's whole range at every n above the cap (over
+# every n in (TABLE_CAP, TABLE_CAP + 2e5], the farthest such a is 36 past
+# ceil(sqrt(n))).  A window W reaches t = sqrt(2 d W), about sqrt(2 W) n**(1/4).
+# The share of products p*q, p uniform in the 10 % below sqrt(n), that the
+# stage splits, and the cost of a miss on p*q with p ~ n**(1/3) (CPython
+# 3.11.7, 2-core VM, best of 9 over 60 n):
+#
+#   W              40    60   100   150   200   300   500  1000
+#   1e7   split   97 %  100   100   100   100   100   100   100 %
+#         miss   3.4   4.1   5.9   8.0   9.7  13.6  20.9  41.6 us
+#   1e10  split   22 %   27    32    38    44    54    69    92 %
+#         miss   3.7   4.5   6.4   8.4  10.8  13.1  23.2  45.5 us
+#   1e13  split    4 %    4     5     7     8     9    12    17 %
+#         miss   3.4   4.5   5.5   8.3  11.9  17.7  29.0  51.2 us
+#   1e18  split    0 %    0     0     0     1     1     1     1 %
+#         miss   4.5   5.8   8.0  10.9  14.0  20.6  28.3  58.3 us
+#
+# A split saves a rho, 30 us, 270 us, 1.4 ms and 31 ms on those products at
+# the four sizes.  A miss comes before Miller-Rabin on n, 3-17 us, or before a
+# rho, 13, 68, 165 and 1060 us on the p ~ n**(1/3) products.  100 keeps a
+# miss under half the cheapest rho it precedes and near one Miller-Rabin test
+# of n.  Stepping a by 2 alone, by parity, made each miss 1.8-2.4x dearer.
+FERMAT_WINDOW = 100
+_SQUARES_MOD_64 = frozenset(i * i & 63 for i in range(32))  # (i + 32)**2 = i**2 (mod 64)
+_SQUARES_MOD_24 = frozenset(i * i % 24 for i in range(12))  # (i + 12)**2 = i**2 (mod 24)
+# Row n mod 24: the residues of a mod 12 that can make a*a - n a square.
+_FERMAT_RESIDUES = tuple(tuple(c for c in range(12) if (c * c - r) % 24 in _SQUARES_MOD_24) for r in range(24))
 
 
 def axis_value(k: int) -> int:
@@ -174,9 +213,9 @@ def axis_divisor(n: int, descending: bool = False) -> int | None:
     one, whose pair (a, n // a) is nearest the reflection line.  Up to
     TABLE_CAP the table gives the least prime factor p, and the largest
     divisor is p when n // p is prime, else it comes from n's prime factors.
-    Above it a walk covers SMALL_SPAN only (the small factors going up, the
-    stretch below sqrt(n) going down), and the answer otherwise comes from
-    n's prime factors.  None means n is 1 or prime.
+    Above it the least one comes from a walk over the axis values up to
+    SMALL_SPAN, else from n's prime factors; the largest one from the Fermat
+    stage, else from n's prime factors.  None means n is 1 or prime.
     """
     if n <= TABLE_CAP:
         i = n // 3
@@ -192,37 +231,40 @@ def axis_divisor(n: int, descending: bool = False) -> int | None:
         if descending and axis_divisor(n // p) is not None:
             return _largest_divisor(axis_factors(n), isqrt(n))
         return p
-    r = isqrt(n)
     if descending:
-        a = _walk(n, range(_pair_start(r), r - SMALL_SPAN, -6), True)
-        # Miller-Rabin first, though axis_factors may run it on n again: a
-        # prime would otherwise pay axis_factors' upward walk as well.
+        # Fermat's first hit is the largest divisor itself.  On a miss,
+        # Miller-Rabin decides n, and a composite n goes on to the factors
+        # with neither test run on it again.
+        a = _fermat(n)
         if a is not None or _is_prime_mr(n):
             return a
-        return _largest_divisor(axis_factors(n), r)
-    a = _walk(n, range(5, SMALL_SPAN + 1, 6), False)
+        return _largest_divisor(axis_factors(n, composite=True), isqrt(n))
+    a = _walk(n, range(5, SMALL_SPAN + 1, 6))
     if a is not None:
         return a
     factors = _split(n)  # Miller-Rabin in it decides whether n is prime, once
     return min(factors) if len(factors) > 1 else None
 
 
-def axis_factors(n: int) -> list[int]:
+def axis_factors(n: int, composite: bool = False) -> list[int]:
     """Prime factors of n, ascending; n must be coprime to 6.
 
     Up to TABLE_CAP each factor is one table lookup.  Above it the walk
     stops at SMALL_SPAN, resuming after each factor it splits off at that
-    factor's pair, and Miller-Rabin and rho factor what is left.
+    factor's pair, and Miller-Rabin, the Fermat stage and rho factor what is
+    left.  ``composite`` says that n is composite and that the Fermat stage
+    has missed on it, so neither test runs on n again.
     """
     factors: list[int] = []
     low = 5
     while n > TABLE_CAP:
-        p = _walk(n, range(low, SMALL_SPAN + 1, 6), False)
+        p = _walk(n, range(low, SMALL_SPAN + 1, 6))
         if p is None:
-            return factors + sorted(_split(n))
+            return factors + sorted(_split(n, composite))
         factors.append(p)
         n //= p
         low = _pair_start(p)
+        composite = False
     while n > 1:
         p = axis_divisor(n) or n  # None: n is prime
         factors.append(p)
@@ -277,37 +319,59 @@ def _pair_start(v: int) -> int:
     return v - (v + 1) % 6
 
 
-def _walk(n: int, lows: range, descending: bool) -> int | None:
-    """Divisor of n from the first pair (d, d + 2), d in lows, that holds one.
-
-    Within a pair the walk prefers d going up and d + 2 going down.  The hit
-    or its cofactor is returned, whichever is <= sqrt(n).
-    """
+def _walk(n: int, lows: range) -> int | None:
+    """Least divisor of n in the pairs (d, d + 2), d in lows; None when none holds one."""
     for d in lows:
-        if n % d == 0 or n % (d + 2) == 0:
-            break
-    else:
-        return None
-    if descending:
-        hit = d + 2 if n % (d + 2) == 0 else d
-    else:
-        hit = d if n % d == 0 else d + 2
-    # The first pair of the downward walk may hit at d + 2 > sqrt(n).  No axis
-    # value lies between sqrt(n) and d + 2, so its cofactor is then the
-    # largest divisor <= sqrt(n).  Everywhere else hit <= sqrt(n) already.
-    return min(hit, n // hit)
+        if n % d == 0:
+            return d
+        if n % (d + 2) == 0:
+            return d + 2
+    return None
 
 
-def _split(n: int) -> list[int]:
+def _split(n: int, composite: bool = False) -> list[int]:
     """Prime factors of n > 1, unordered; n has none up to SMALL_SPAN.
 
     So n is prime when isqrt(n) <= SMALL_SPAN, and Miller-Rabin is needed
-    only above that.
+    only above that.  A composite n is split by the Fermat stage when its
+    largest divisor <= sqrt(n) lies in the window, else by rho; with
+    ``composite``, n is known composite and the Fermat stage has missed.
+    The two halves of a square are one number, factored once.
     """
-    if isqrt(n) <= SMALL_SPAN or _is_prime_mr(n):
+    if composite:
+        d = _rho(n)
+    elif isqrt(n) <= SMALL_SPAN or _is_prime_mr(n):
         return [n]
-    d = _rho(n)
-    return _split(d) + _split(n // d)
+    else:
+        d = _fermat(n) or _rho(n)
+    factors = _split(d)
+    return factors + (factors if d * d == n else _split(n // d))
+
+
+def _fermat(n: int) -> int | None:
+    """Largest divisor <= sqrt(n) of an odd n when Fermat's method meets it
+    within FERMAT_WINDOW values of a; None otherwise.
+
+    a*a - n = b*b makes a*a - n a square mod 24, and a*a mod 24 depends on
+    a mod 12 alone, so a runs over the residues mod 12 that n mod 24 admits:
+    one for n = 11, 23 (mod 24), two for n = 5, 7, 17, 19 and four for
+    n = 1, 13.  Each residue's run stops below the least hit so far, and
+    a*a - n goes to isqrt only when it is a square mod 64.  The hit of a
+    prime n is a = (n + 1) / 2, past the window for every n above TABLE_CAP;
+    a composite n's first hit is its largest divisor <= sqrt(n), above 1.
+    """
+    r = isqrt(n)
+    low = r + (r * r < n)  # ceil(sqrt(n))
+    hit, divisor = low + FERMAT_WINDOW, None
+    for c in _FERMAT_RESIDUES[n % 24]:
+        for a in range(low + (c - low) % 12, hit, 12):
+            x = a * a - n
+            if (x & 63) in _SQUARES_MOD_64:
+                b = isqrt(x)
+                if b * b == x:
+                    hit, divisor = a, a - b
+                    break
+    return divisor
 
 
 def _is_prime_mr(n: int) -> bool:

@@ -106,3 +106,87 @@ def test_least_factor_around_the_small_span():
             for n in (p * q, p * p * q):
                 if n <= qgrid.MAX_VALUE:
                     check(n)
+
+
+def fermat_offset(p, q):
+    """Values of a past ceil(sqrt(p*q)) at which Fermat's method meets the pair (p, q)."""
+    n = p * q
+    r = isqrt(n)
+    return (p + q) // 2 - (r + (r * r < n))
+
+
+# p from just above the table's root to the top of the domain's
+root_primes = st.integers(isqrt(qgrid.TABLE_CAP) + 2, isqrt(qgrid.MAX_VALUE)).map(sympy.prevprime)
+
+
+@given(root_primes, st.integers(1, 5))
+@settings(max_examples=200, deadline=None)
+def test_near_square_products(p, k):
+    q = p
+    for _ in range(k):
+        q = sympy.nextprime(q)
+    if p * q > qgrid.MAX_VALUE:
+        p, q = sympy.prevprime(p), p
+    assert qgrid._fermat(p * q) == p
+    check(p * q)
+
+
+@given(root_primes)
+@settings(max_examples=100, deadline=None)
+def test_prime_squares(p):
+    assert qgrid._fermat(p * p) == p
+    check(p * p)
+
+
+@given(st.integers(5, 10**4).map(sympy.nextprime), st.integers(5, 10**5).map(sympy.nextprime))
+@settings(max_examples=100, deadline=None)
+def test_three_primes_whose_balanced_divisor_is_composite(p, q):
+    # r just above p*q puts p*q, a composite, nearest sqrt(n) from below
+    r = sympy.nextprime(p * q)
+    n = p * q * r
+    if n <= qgrid.TABLE_CAP or n > qgrid.MAX_VALUE:
+        return
+    assert qgrid._fermat(n) == p * q
+    check(n)
+
+
+def window_edge(p):
+    """The largest prime q whose pair with p lies inside the Fermat window, and the least outside it."""
+    lo, hi = p, p + 2
+    while fermat_offset(p, hi) < qgrid.FERMAT_WINDOW:
+        lo, hi = hi, 2 * hi - p
+    while hi - lo > 1:  # the offset rises with q: the least q at the window's end
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if fermat_offset(p, mid) < qgrid.FERMAT_WINDOW else (lo, mid)
+    return sympy.prevprime(hi), sympy.nextprime(hi - 1)
+
+
+@pytest.mark.parametrize("size", [10**4, 10**6, 10**8, 3 * 10**9 - 10**6])
+def test_products_at_the_edge_of_the_window(size):
+    p = sympy.prevprime(size)
+    inside, outside = window_edge(p)
+    assert fermat_offset(p, inside) < qgrid.FERMAT_WINDOW <= fermat_offset(p, outside)
+    assert qgrid._fermat(p * inside) == p
+    assert qgrid._fermat(p * outside) is None  # left to rho, with the same answers
+    for n in (p * inside, p * outside):
+        check(n)
+
+
+def test_the_stage_covers_the_walk_it_replaced():
+    # The walk down from sqrt(n) found any divisor d > isqrt(n) - SMALL_SPAN.
+    # Just above TABLE_CAP those lie farthest from ceil(sqrt(n)) in a.
+    farthest, deepest = 0, 0
+    root = isqrt(qgrid.TABLE_CAP)
+    for d in range(root - qgrid.SMALL_SPAN, root + 1):
+        m = qgrid.TABLE_CAP // d + 1
+        for n in (d * m for m in range(m, m + 12) if d * m % 6 in (1, 5)):
+            r = isqrt(n)
+            if d > r - qgrid.SMALL_SPAN:
+                largest = max(x for x in range(d, r + 1) if n % x == 0)
+                assert qgrid._fermat(n) == largest, n
+                farthest = max(farthest, fermat_offset(largest, n // largest))
+                deepest = max(deepest, r - largest)
+                if r - largest > qgrid.SMALL_SPAN - 8:  # in the walk's last pair
+                    check(n)
+    assert deepest == qgrid.SMALL_SPAN - 1
+    assert farthest == 36 < qgrid.FERMAT_WINDOW

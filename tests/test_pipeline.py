@@ -337,6 +337,15 @@ def test_strategy_other_than_a_member_is_a_type_error(fn, bad):
 
 
 @pytest.mark.parametrize(
+    "fn", [is_prime, factor_on_grid, oracle.verify_range], ids=lambda fn: fn.__name__
+)
+def test_strategy_refusal_reads_the_same_everywhere(fn):
+    with pytest.raises(TypeError) as refused:
+        fn(175, "balanced")
+    assert str(refused.value) == "expected a SearchStrategy, got str"
+
+
+@pytest.mark.parametrize(
     "fn", [is_prime, factor_on_grid, full_factorize, prefilter, contains], ids=lambda fn: fn.__name__
 )
 @pytest.mark.parametrize("big", [2**63, 10**30], ids=["2**63", "10**30"])

@@ -1,4 +1,5 @@
 from array import array
+from collections import Counter
 from math import isqrt
 
 import pytest
@@ -266,7 +267,7 @@ def walks(monkeypatch):
     walk = qgrid._walk
     cap = (qgrid.WALK_LIMIT + 1) // 6
 
-    def counted(n, lows, descending):
+    def counted(n, lows):
         index = len(counts)
         counts.append(0)
 
@@ -277,10 +278,47 @@ def walks(monkeypatch):
                     raise AssertionError(f"the walk for {n} passed {cap} pairs")
                 yield d
 
-        return walk(n, visit(), descending)
+        return walk(n, visit())
 
     monkeypatch.setattr(qgrid, "_walk", counted)
     return counts
+
+
+@pytest.fixture
+def fermats(monkeypatch):
+    """(n, result) of each Fermat stage call, in call order."""
+    calls = []
+    fermat = qgrid._fermat
+
+    def counted(n):
+        calls.append((n, fermat(n)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(qgrid, "_fermat", counted)
+    return calls
+
+
+@pytest.fixture
+def stage_calls(monkeypatch):
+    """Calls of Miller-Rabin ("mr"), the Fermat stage ("fermat") and rho ("rho"), counted by (stage, n)."""
+    counts = Counter()
+    for stage, name in (("mr", "_is_prime_mr"), ("fermat", "_fermat"), ("rho", "_rho")):
+        def counted(n, stage=stage, run=getattr(qgrid, name)):
+            counts[stage, n] += 1
+            return run(n)
+
+        monkeypatch.setattr(qgrid, name, counted)
+    return counts
+
+
+def assert_one_fermat_within_the_window(fermats, n):
+    """The Fermat stage ran once, on n, and a hit of it lies within its window."""
+    assert [m for m, _ in fermats] == [n]
+    d = fermats[0][1]
+    if d is not None:
+        r = isqrt(n)
+        ceil_root = r + (r * r < n)
+        assert 0 <= (d + n // d) // 2 - ceil_root < qgrid.FERMAT_WINDOW
 
 
 def factor_or_none(n, strategy):
@@ -299,6 +337,7 @@ GRID_CALLS = {
     "factor_on_grid-balanced": lambda n: factor_or_none(n, BAL),
     "full_factorize": full_factorize,
 }
+BALANCED_CALLS = {GRID_CALLS["is_prime-balanced"], GRID_CALLS["factor_on_grid-balanced"]}
 
 
 SPAN_PAIRS = (qgrid.SMALL_SPAN + 5) // 6  # the pairs of any stretch of SMALL_SPAN, rounded up
@@ -313,10 +352,15 @@ class TestWalkWork:
         [2**63 - 25, 3037000453 * 3037000493],
         ids=["largest-prime", "largest-balanced-semiprime"],
     )
-    def test_large_n_walks_the_short_span_only(self, walks, call, n):
+    def test_large_n_walks_the_short_span_only(self, walks, fermats, call, n):
         call(n)
-        assert walks
-        assert max(walks) <= SPAN_PAIRS
+        if call in BALANCED_CALLS:
+            # the Fermat stage answers, or leaves n to Miller-Rabin: no pair is walked
+            assert walks == []
+            assert_one_fermat_within_the_window(fermats, n)
+        else:
+            assert walks
+            assert max(walks) <= SPAN_PAIRS
 
     @pytest.mark.parametrize("call", GRID_CALLS.values(), ids=GRID_CALLS.keys())
     @pytest.mark.usefixtures("fresh_table")
@@ -337,11 +381,15 @@ class TestWalkWork:
         assert walks == []
 
     @pytest.mark.parametrize("call", GRID_CALLS.values(), ids=GRID_CALLS.keys())
-    def test_prime_past_the_crossover_walks_the_short_span(self, walks, call):
+    def test_prime_past_the_crossover_walks_the_short_span(self, walks, fermats, call):
         limit = qgrid.WALK_LIMIT + 1
         n = min(p for p in range(limit * limit, (limit + 1) ** 2) if oracle.trial_is_prime(p))
         call(n)
-        assert walks and max(walks) <= SPAN_PAIRS
+        if call in BALANCED_CALLS:
+            assert walks == []
+            assert_one_fermat_within_the_window(fermats, n)
+        else:
+            assert walks and max(walks) <= SPAN_PAIRS
 
     @pytest.mark.parametrize(
         "n, least",
@@ -362,6 +410,40 @@ class TestWalkWork:
         verdict = is_prime(n, SearchStrategy.ASCENDING_SCAN)
         assert (verdict.witness.axis_values[0] if least else verdict.witness) == least
         assert tested.count(n) == 1
+
+    @pytest.mark.parametrize(
+        "n, largest, mr",
+        [(1009 * (10**9 + 7), 1009, 1), (1000003 * 1000033, 1000003, 0), (10**9 + 7, None, 1)],
+        ids=["small-times-large", "balanced", "prime"],
+    )
+    def test_balanced_runs_miller_rabin_and_fermat_once_on_n(self, stage_calls, n, largest, mr):
+        # A Fermat hit settles n; on a miss Miller-Rabin decides it, and a
+        # composite goes on to the walk and rho with neither test run again.
+        verdict = is_prime(n, SearchStrategy.BALANCED_FIRST)
+        assert (verdict.witness.axis_values[0] if largest else verdict.witness) == largest
+        assert stage_calls["fermat", n] == 1
+        assert stage_calls["mr", n] == mr
+
+    @pytest.mark.parametrize("call", GRID_CALLS.values(), ids=GRID_CALLS.keys())
+    def test_exact_work_at_the_top_of_the_domain(self, stage_calls, call):
+        prime, p, q = 2**63 - 25, 3037000453, 3037000493
+        balanced = call in BALANCED_CALLS
+        call(prime)
+        assert stage_calls == {("mr", prime): 1, **({("fermat", prime): 1} if balanced else {})}
+        stage_calls.clear()
+        # the semiprime's pair is Fermat's first a, ceil(sqrt(n)): the stage
+        # splits it and rho never runs; asc tests n and then each factor once
+        call(p * q)
+        if balanced:
+            assert stage_calls == {("fermat", p * q): 1}
+        else:
+            assert stage_calls == {("mr", p * q): 1, ("fermat", p * q): 1, ("mr", p): 1, ("mr", q): 1}
+
+    def test_a_square_is_factored_once(self, stage_calls):
+        p = 3037000453
+        assert full_factorize(p * p) == [p, p]
+        # the two halves are one number: Miller-Rabin tests it once
+        assert stage_calls == {("mr", p * p): 1, ("fermat", p * p): 1, ("mr", p): 1}
 
 
 @pytest.fixture
