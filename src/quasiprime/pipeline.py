@@ -15,11 +15,13 @@ trial division: one lookup gives the least factor, and the balanced pair
 comes from the factors it gives.  The table is built in blocks, each on
 the first lookup that touches it, so a one-shot call pays for one block.
 Above the cap, asc walks a short span of small axis values only, and
+only when one gcd with the product of their primes shows a factor there;
 balanced asks a bounded Fermat stage, whose first hit is the pair nearest
 the reflection line.  Then deterministic Miller-Rabin, exact on the whole
-64-bit domain, decides primality, and the Fermat stage, else Pollard-Brent
-rho, splits the composites, so the witnesses are the same.  Neither
-Miller-Rabin nor the Fermat stage runs twice on n.  One guard,
+64-bit domain, decides primality, and the Fermat stage, which on a known
+composite reaches further, else Pollard-Brent rho, splits the composites,
+so the witnesses are the same.  Miller-Rabin runs at most once on n, and
+the Fermat stage tries no value of a twice.  One guard,
 require_strategy, refuses a strategy that is not a SearchStrategy member.
 The last-digit and digital-root pair tables are tested facts about factor
 pairs, not filters on the grid search.
@@ -266,8 +268,8 @@ def full_factorize(n: int) -> list[int]:
 
     Factors 2 and 3 sit outside the quasi-prime domain; they are stripped
     first, then the grid axis splits off the rest: table lookups up to
-    qgrid.TABLE_CAP, and above it a short walk, Miller-Rabin, the Fermat
-    stage and rho.
+    qgrid.TABLE_CAP, and above it a gcd and a short walk, Miller-Rabin, the
+    Fermat stage and rho.
     """
     require_in_cap(n)
     if n < 2:

@@ -13,14 +13,18 @@ n's least prime factor, so a lookup replaces trial division.  It is the
 least-prime-factor sieve (Gries & Misra, CACM 1978) restricted to the
 wheel's 6k±1 slots (Pritchard, CACM 1981), built block by block on first
 touch, as in the segmented sieve (Bays & Hudson, BIT 1977).  Above the
-cap, the least factor comes first from a short walk over the axis values
-up to SMALL_SPAN, and the factor pair nearest the reflection line first
-from a bounded Fermat stage: a runs up from ceil(sqrt(n)) over the residues
-mod 12 that n mod 24 admits, and the first a with a*a - n a square gives
-n's largest divisor <= sqrt(n).  Deterministic Miller-Rabin on at most the
-first 12 prime bases, exact below 3.18e23 (Sorenson & Webster, Math. Comp.
-2017), far above MAX_VALUE, decides the rest, and the composites are split
-by the same Fermat stage, else by Pollard-Brent rho (Brent, BIT 1980).
+cap, one gcd with the product of the primes up to SMALL_SPAN says whether
+n has a factor there, and only then does a short walk over the axis values
+find the least one.  The factor pair nearest the reflection line comes
+first from a bounded Fermat stage: a runs up from ceil(sqrt(n)) over the
+residues mod 12 that n mod 24 admits, and the first a with a*a - n a
+square gives n's largest divisor <= sqrt(n).  Deterministic Miller-Rabin on
+at most the first 12 prime bases, exact below 3.18e23 (Sorenson & Webster,
+Math. Comp. 2017), far above MAX_VALUE, decides the rest, and the
+composites are split by the same Fermat stage, which on a known composite
+goes on past its window to a reach sized to n, else by Pollard-Brent rho
+(Brent, BIT 1980).  Miller-Rabin runs at most once on n, and the Fermat
+stage tries no value of a twice.
 """
 
 from __future__ import annotations
@@ -38,8 +42,9 @@ __all__ = ["GridCoordinate", "QuasiPrimeTag", "axis_index", "axis_value", "conta
 MAX_VALUE = 2**63 - 1  # the input cap of every entry point that takes an n
 REGION_CELL_CAP = 10**4
 # n with isqrt(n) <= WALK_LIMIT read the table; larger n take a walk over the
-# axis values up to SMALL_SPAN (balanced: the Fermat stage), then Miller-Rabin,
-# the Fermat stage and rho.  A table byte holds the pair index k <= 255 of a
+# axis values up to SMALL_SPAN when their gcd with _SMALL_PRIMORIAL shows a
+# factor there (balanced: the Fermat stage first), then Miller-Rabin, the
+# Fermat stage and rho.  A table byte holds the pair index k <= 255 of a
 # least factor 6k-1 or 6k+1, so WALK_LIMIT is the largest axis prime with
 # k <= 255, 1531 = 6 * 255 + 1 (no axis prime lies in (1531, 1543)).  The
 # byte, not the cost, sets it.  Per call on CPython 3.11.7
@@ -74,6 +79,15 @@ _blocks: list[bytearray | None] = [None] * -(-(TABLE_CAP // 3 + 1) // BLOCK_SLOT
 # The axis primes up to WALK_LIMIT, ascending; listed once, by the first build.
 _axis_primes: list[int] = []
 _PRIMES_5_TO_37 = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37)  # the axis primes below 41
+_PRODUCT_5_TO_37 = prod(_PRIMES_5_TO_37)
+# The product of the primes the walk over SMALL_SPAN can meet, 5 ... 293:
+# every composite up to SMALL_SPAN + 1 coprime to 6 has a factor below 41.
+# Above TABLE_CAP the walk runs only when n shares a prime with it.  The
+# walk's first pair, 5 and 7, is asked by two remainders before the gcd:
+# it holds the least factor of 31 % of the n coprime to 6, and the two cost
+# ~0.07 us on CPython 3.11.7 against ~0.4 us for the gcd.
+_SMALL_PRIMORIAL = _PRODUCT_5_TO_37 * prod(
+    v for v in range(41, SMALL_SPAN + 2, 2) if v % 3 and gcd(v, _PRODUCT_5_TO_37) == 1)
 # (a, psi_k): the k-th prime base and the least composite that passes the
 # first k of them (Jaeschke, Math. Comp. 1993; Jiang & Deng, Math. Comp.
 # 2014; Sorenson & Webster, Math. Comp. 2017).  psi_12 > 3.18e23 > MAX_VALUE.
@@ -121,11 +135,50 @@ _RHO_BATCH = 128  # rho steps whose differences share one gcd
 # rho, 13, 68, 165 and 1060 us on the p ~ n**(1/3) products.  100 keeps a
 # miss under half the cheapest rho it precedes and near one Miller-Rabin test
 # of n.  Stepping a by 2 alone, by parity, made each miss 1.8-2.4x dearer.
+#
+# Once Miller-Rabin has shown n composite, a miss no longer delays a prime's
+# verdict, only rho, so the stage goes on to _reach(n) = max(100, min(1000,
+# 2 n**(1/4))) values of a.  Rho on a pair near sqrt(n) takes ~n**(1/4) steps,
+# and a reach R costs ~R, so R grows with rho's cost, up to a cap where a miss
+# on a composite with its factors far apart stays a small share of its rho.
+# Mean us per _split(n), interleaved, best of 5 per n, 60 n in [N, 1.5 N] per
+# cell, measured as above; "window" is the 100 values of a alone:
+#
+#   N                          1e7   1e8   1e9  1e10  1e12  1e14  1e18
+#   p in the 10 % below sqrt(n)
+#     window                   6.3   7.2  41.7   186   567  1755  22.4 ms
+#     1.5 n**(1/4), cap 1000   7.1   8.4  15.6  50.2   426  1530  22.5
+#     2 n**(1/4), cap 1000     7.1  10.2  15.8  29.7   424  1561  24.0
+#     2 n**(1/4), cap 2000     7.1  10.2  15.8  28.8   363  1490  23.4
+#     3 n**(1/4), cap 1000     7.6  11.1  16.9  30.9   425  1557  22.5
+#   p ~ n**(1/3)
+#     window                  18.9  21.9  33.9  62.2   110   277   828
+#     1.5 n**(1/4), cap 1000  19.7  24.0  37.2  69.8   127   295   871
+#     2 n**(1/4), cap 1000    20.1  24.3  38.4  71.5   126   297   863
+#     2 n**(1/4), cap 2000    20.1  24.2  39.1  71.7   144   312   882
+#     3 n**(1/4), cap 1000    21.9  25.6  41.6  76.6   126   293   859
+#   p ~ n**0.4
+#     window                  26.9  26.0  71.7   132   248   484  4583
+#     2 n**(1/4), cap 1000    28.4  29.5  77.6   143   266   494  4598
+#
+# 2 n**(1/4) up to 1000 splits every pair of the first row up to 1e10 (the
+# window alone: 71 % at 1e9, 35 % at 1e10), 38 % at 1e12 and 20 % at 1e14, and
+# costs the p ~ n**(1/3) products +6, 11, 13, 15, 14, 7 and 4 % and the
+# p ~ n**0.4 ones +6, 13, 8, 8, 7, 2 and 0 %.  1.5 n**(1/4) saves 1-2 % of
+# that but splits only 88 % at 1e10; a cap of 2000 saves 15 % at 1e12 on the
+# near-square products and costs as much on the others.  Over more than 200
+# values of a the stage steps by residues mod 60 (see _fermat); by residues
+# mod 12 alone, a miss over 632 and 1000 values took 22 and 44 us, not 14 and
+# 23.  The near-square products at 1e7 and 1e8 hit inside the window; the
+# 1-3 us they lose is the call of _reach and, past 200 values, the dearer
+# setup of the runs mod 60.
 FERMAT_WINDOW = 100
 _SQUARES_MOD_64 = frozenset(i * i & 63 for i in range(32))  # (i + 32)**2 = i**2 (mod 64)
 _SQUARES_MOD_24 = frozenset(i * i % 24 for i in range(12))  # (i + 12)**2 = i**2 (mod 24)
 # Row n mod 24: the residues of a mod 12 that can make a*a - n a square.
 _FERMAT_RESIDUES = tuple(tuple(c for c in range(12) if (c * c - r) % 24 in _SQUARES_MOD_24) for r in range(24))
+# Row n mod 5: the residues of a mod 5 that can, where the squares mod 5 are 0, 1 and 4.
+_FERMAT_RESIDUES_MOD_5 = tuple(tuple(c for c in range(5) if (c * c - r) % 5 in (0, 1, 4)) for r in range(5))
 
 
 def axis_value(k: int) -> int:
@@ -214,8 +267,9 @@ def axis_divisor(n: int, descending: bool = False) -> int | None:
     TABLE_CAP the table gives the least prime factor p, and the largest
     divisor is p when n // p is prime, else it comes from n's prime factors.
     Above it the least one comes from a walk over the axis values up to
-    SMALL_SPAN, else from n's prime factors; the largest one from the Fermat
-    stage, else from n's prime factors.  None means n is 1 or prime.
+    SMALL_SPAN when a gcd shows a factor there, else from n's prime factors;
+    the largest one from the Fermat stage's window, else from n's prime
+    factors.  None means n is 1 or prime.
     """
     if n <= TABLE_CAP:
         i = n // 3
@@ -239,9 +293,8 @@ def axis_divisor(n: int, descending: bool = False) -> int | None:
         if a is not None or _is_prime_mr(n):
             return a
         return _largest_divisor(axis_factors(n, composite=True), isqrt(n))
-    a = _walk(n, range(5, SMALL_SPAN + 1, 6))
-    if a is not None:
-        return a
+    if not (n % 5 and n % 7) or gcd(n, _SMALL_PRIMORIAL) > 1:  # a factor up to SMALL_SPAN + 1: the walk stops at it
+        return _walk(n, range(5, SMALL_SPAN + 1, 6))
     factors = _split(n)  # Miller-Rabin in it decides whether n is prime, once
     return min(factors) if len(factors) > 1 else None
 
@@ -251,16 +304,20 @@ def axis_factors(n: int, composite: bool = False) -> list[int]:
 
     Up to TABLE_CAP each factor is one table lookup.  Above it the walk
     stops at SMALL_SPAN, resuming after each factor it splits off at that
-    factor's pair, and Miller-Rabin, the Fermat stage and rho factor what is
-    left.  ``composite`` says that n is composite and that the Fermat stage
-    has missed on it, so neither test runs on n again.
+    factor's pair, and runs only while a gcd shows a factor up to there;
+    Miller-Rabin, the Fermat stage and rho factor what is left.
+    ``composite`` says that n is composite and that the Fermat stage's
+    window has missed on it, so Miller-Rabin does not run on n again and
+    the stage resumes past the window.
     """
     factors: list[int] = []
-    low = 5
+    low, small = 5, _SMALL_PRIMORIAL
     while n > TABLE_CAP:
+        if n % 5 and n % 7:
+            small = gcd(n, small)  # a cofactor's small primes are among n's, so the next gcd is short
+            if small == 1:
+                return factors + sorted(_split(n, composite))
         p = _walk(n, range(low, SMALL_SPAN + 1, 6))
-        if p is None:
-            return factors + sorted(_split(n, composite))
         factors.append(p)
         n //= p
         low = _pair_start(p)
@@ -285,9 +342,8 @@ def _build(b: int) -> bytearray:
     since every composite below 41**2 has a prime factor below 41.
     """
     if not _axis_primes:
-        skip = prod(_PRIMES_5_TO_37)
         _axis_primes.extend(_PRIMES_5_TO_37)
-        _axis_primes.extend(p for p in range(41, WALK_LIMIT + 1, 2) if p % 3 and gcd(p, skip) == 1)
+        _axis_primes.extend(p for p in range(41, WALK_LIMIT + 1, 2) if p % 3 and gcd(p, _PRODUCT_5_TO_37) == 1)
     lo = b << _BLOCK_BITS
     size = min(BLOCK_SLOTS, TABLE_CAP // 3 + 1 - lo)
     top = 3 * (lo + size) - 1  # the largest n with a slot in the block
@@ -334,37 +390,56 @@ def _split(n: int, composite: bool = False) -> list[int]:
 
     So n is prime when isqrt(n) <= SMALL_SPAN, and Miller-Rabin is needed
     only above that.  A composite n is split by the Fermat stage when its
-    largest divisor <= sqrt(n) lies in the window, else by rho; with
-    ``composite``, n is known composite and the Fermat stage has missed.
-    The two halves of a square are one number, factored once.
+    largest divisor <= sqrt(n) lies within _reach(n) values of a, else by
+    rho; with ``composite``, n is known composite and the stage's window
+    has missed, so the stage resumes past it.  The two halves of a square
+    are one number, factored once.
     """
     if composite:
-        d = _rho(n)
+        d = _fermat(n, FERMAT_WINDOW, _reach(n)) or _rho(n)
     elif isqrt(n) <= SMALL_SPAN or _is_prime_mr(n):
         return [n]
     else:
-        d = _fermat(n) or _rho(n)
+        d = _fermat(n, 0, _reach(n)) or _rho(n)
     factors = _split(d)
     return factors + (factors if d * d == n else _split(n // d))
 
 
-def _fermat(n: int) -> int | None:
-    """Largest divisor <= sqrt(n) of an odd n when Fermat's method meets it
-    within FERMAT_WINDOW values of a; None otherwise.
+def _reach(n: int) -> int:
+    """Values of a past ceil(sqrt(n)) that the Fermat stage tries on an n
+    known to be composite; the sweep behind it is at FERMAT_WINDOW."""
+    return max(FERMAT_WINDOW, min(1000, 2 * isqrt(isqrt(n))))
+
+
+def _fermat(n: int, start: int = 0, stop: int = FERMAT_WINDOW) -> int | None:
+    """The first divisor <= sqrt(n) of an odd n that Fermat's method meets at
+    a = ceil(sqrt(n)) + t, start <= t < stop; None when it meets none there.
+    When no smaller a meets one, as for start = 0, it is n's largest divisor
+    <= sqrt(n).
 
     a*a - n = b*b makes a*a - n a square mod 24, and a*a mod 24 depends on
     a mod 12 alone, so a runs over the residues mod 12 that n mod 24 admits:
     one for n = 11, 23 (mod 24), two for n = 5, 7, 17, 19 and four for
-    n = 1, 13.  Each residue's run stops below the least hit so far, and
-    a*a - n goes to isqrt only when it is a square mod 64.  The hit of a
-    prime n is a = (n + 1) / 2, past the window for every n above TABLE_CAP;
-    a composite n's first hit is its largest divisor <= sqrt(n), above 1.
+    n = 1, 13.  Over more than 2 * FERMAT_WINDOW values of a, a square mod 5
+    is asked too: of a's five residues mod 5, n = 2, 3 (mod 5) admit two,
+    n = 1, 4 three and n = 0 all five, and the residue mod 60 of c mod 12
+    and c5 mod 5 is 25 c + 36 c5.  That halves the a tried, at ~2.5 times
+    the runs, whose setup costs more than it saves over fewer a.  Each
+    residue's run stops below the least hit so far, and a*a - n goes to
+    isqrt only when it is a square mod 64.  The hit of a prime n is
+    a = (n + 1) / 2, past any reach for every n above TABLE_CAP; a composite
+    n's first hit is its largest divisor <= sqrt(n), above 1.
     """
     r = isqrt(n)
     low = r + (r * r < n)  # ceil(sqrt(n))
-    hit, divisor = low + FERMAT_WINDOW, None
-    for c in _FERMAT_RESIDUES[n % 24]:
-        for a in range(low + (c - low) % 12, hit, 12):
+    hit, divisor = low + stop, None
+    low += start
+    step, residues = 12, _FERMAT_RESIDUES[n % 24]
+    if stop - start > 2 * FERMAT_WINDOW:
+        step = 60
+        residues = [25 * c + 36 * c5 for c in residues for c5 in _FERMAT_RESIDUES_MOD_5[n % 5]]
+    for c in residues:
+        for a in range(low + (c - low) % step, hit, step):
             x = a * a - n
             if (x & 63) in _SQUARES_MOD_64:
                 b = isqrt(x)

@@ -4,7 +4,7 @@ Up to 10**7 the in-repo sieve is the ground truth; beyond it these tests
 compare with sympy, which the package itself never imports.
 """
 
-from math import isqrt
+from math import isqrt, prod
 
 import pytest
 from hypothesis import given, settings
@@ -150,14 +150,17 @@ def test_three_primes_whose_balanced_divisor_is_composite(p, q):
     check(n)
 
 
-def window_edge(p):
-    """The largest prime q whose pair with p lies inside the Fermat window, and the least outside it."""
+def window_edge(p, width=lambda n: qgrid.FERMAT_WINDOW):
+    """The largest prime q whose pair with p lies inside the Fermat window, and the least outside it.
+
+    ``width(n)`` is the number of values of a the window holds for n = p*q.
+    """
     lo, hi = p, p + 2
-    while fermat_offset(p, hi) < qgrid.FERMAT_WINDOW:
+    while fermat_offset(p, hi) < width(p * hi):
         lo, hi = hi, 2 * hi - p
-    while hi - lo > 1:  # the offset rises with q: the least q at the window's end
+    while hi - lo > 1:  # the offset rises with q, far faster than the width: the least q at the window's end
         mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if fermat_offset(p, mid) < qgrid.FERMAT_WINDOW else (lo, mid)
+        lo, hi = (mid, hi) if fermat_offset(p, mid) < width(p * mid) else (lo, mid)
     return sympy.prevprime(hi), sympy.nextprime(hi - 1)
 
 
@@ -170,6 +173,27 @@ def test_products_at_the_edge_of_the_window(size):
     assert qgrid._fermat(p * outside) is None  # left to rho, with the same answers
     for n in (p * inside, p * outside):
         check(n)
+
+
+@pytest.mark.parametrize("size", [10**4, 10**5, 10**6])
+def test_products_at_the_edge_of_the_reach(size):
+    # On an n known to be composite the stage goes on past the window, to
+    # _reach(n) values of a, before rho.
+    p = sympy.prevprime(size)
+    inside, outside = window_edge(p, qgrid._reach)
+    assert qgrid.FERMAT_WINDOW <= fermat_offset(p, inside) < qgrid._reach(p * inside)
+    assert fermat_offset(p, outside) >= qgrid._reach(p * outside)
+    assert qgrid._fermat(p * inside) is None
+    assert qgrid._fermat(p * inside, 0, qgrid._reach(p * inside)) == p
+    assert qgrid._fermat(p * inside, qgrid.FERMAT_WINDOW, qgrid._reach(p * inside)) == p
+    assert qgrid._fermat(p * outside, 0, qgrid._reach(p * outside)) is None  # left to rho
+    for n in (p * inside, p * outside):
+        check(n)
+
+
+def test_the_small_primorial_holds_the_primes_the_walk_can_meet():
+    # a gcd with it > 1 says the walk up to SMALL_SPAN + 1 finds a factor
+    assert qgrid._SMALL_PRIMORIAL == prod(sympy.primerange(5, qgrid.SMALL_SPAN + 3))
 
 
 def test_the_stage_covers_the_walk_it_replaced():

@@ -290,8 +290,8 @@ def fermats(monkeypatch):
     calls = []
     fermat = qgrid._fermat
 
-    def counted(n):
-        calls.append((n, fermat(n)))
+    def counted(n, *args):
+        calls.append((n, fermat(n, *args)))
         return calls[-1][1]
 
     monkeypatch.setattr(qgrid, "_fermat", counted)
@@ -303,12 +303,26 @@ def stage_calls(monkeypatch):
     """Calls of Miller-Rabin ("mr"), the Fermat stage ("fermat") and rho ("rho"), counted by (stage, n)."""
     counts = Counter()
     for stage, name in (("mr", "_is_prime_mr"), ("fermat", "_fermat"), ("rho", "_rho")):
-        def counted(n, stage=stage, run=getattr(qgrid, name)):
+        def counted(n, *args, stage=stage, run=getattr(qgrid, name)):
             counts[stage, n] += 1
-            return run(n)
+            return run(n, *args)
 
         monkeypatch.setattr(qgrid, name, counted)
     return counts
+
+
+@pytest.fixture
+def fermat_spans(monkeypatch):
+    """(n, the t of a = ceil(sqrt(n)) + t it tries) of each Fermat stage call, in call order."""
+    spans = []
+    fermat = qgrid._fermat
+
+    def counted(n, start=0, stop=qgrid.FERMAT_WINDOW):
+        spans.append((n, range(start, stop)))
+        return fermat(n, start, stop)
+
+    monkeypatch.setattr(qgrid, "_fermat", counted)
+    return spans
 
 
 def assert_one_fermat_within_the_window(fermats, n):
@@ -354,13 +368,11 @@ class TestWalkWork:
     )
     def test_large_n_walks_the_short_span_only(self, walks, fermats, call, n):
         call(n)
+        # n has no factor up to SMALL_SPAN + 1, which one gcd shows: no pair is walked
+        assert walks == []
         if call in BALANCED_CALLS:
-            # the Fermat stage answers, or leaves n to Miller-Rabin: no pair is walked
-            assert walks == []
+            # the Fermat stage answers, or leaves n to Miller-Rabin
             assert_one_fermat_within_the_window(fermats, n)
-        else:
-            assert walks
-            assert max(walks) <= SPAN_PAIRS
 
     @pytest.mark.parametrize("call", GRID_CALLS.values(), ids=GRID_CALLS.keys())
     @pytest.mark.usefixtures("fresh_table")
@@ -385,11 +397,9 @@ class TestWalkWork:
         limit = qgrid.WALK_LIMIT + 1
         n = min(p for p in range(limit * limit, (limit + 1) ** 2) if oracle.trial_is_prime(p))
         call(n)
+        assert walks == []
         if call in BALANCED_CALLS:
-            assert walks == []
             assert_one_fermat_within_the_window(fermats, n)
-        else:
-            assert walks and max(walks) <= SPAN_PAIRS
 
     @pytest.mark.parametrize(
         "n, least",
@@ -412,17 +422,21 @@ class TestWalkWork:
         assert tested.count(n) == 1
 
     @pytest.mark.parametrize(
-        "n, largest, mr",
-        [(1009 * (10**9 + 7), 1009, 1), (1000003 * 1000033, 1000003, 0), (10**9 + 7, None, 1)],
+        "n, largest, mr, fermat",
+        [(1009 * (10**9 + 7), 1009, 1, 2), (1000003 * 1000033, 1000003, 0, 1), (10**9 + 7, None, 1, 1)],
         ids=["small-times-large", "balanced", "prime"],
     )
-    def test_balanced_runs_miller_rabin_and_fermat_once_on_n(self, stage_calls, n, largest, mr):
-        # A Fermat hit settles n; on a miss Miller-Rabin decides it, and a
-        # composite goes on to the walk and rho with neither test run again.
+    def test_balanced_runs_miller_rabin_and_fermat_once_on_n(self, stage_calls, fermat_spans, n, largest, mr,
+                                                             fermat):
+        # A Fermat hit in the window settles n; on a miss Miller-Rabin decides
+        # it, and a composite goes on to the rest of the Fermat stage's reach
+        # and rho, with Miller-Rabin not run again and no a tried twice.
         verdict = is_prime(n, SearchStrategy.BALANCED_FIRST)
         assert (verdict.witness.axis_values[0] if largest else verdict.witness) == largest
-        assert stage_calls["fermat", n] == 1
+        assert stage_calls["fermat", n] == fermat
         assert stage_calls["mr", n] == mr
+        spans = [t for m, t in fermat_spans if m == n]
+        assert all(a.stop <= b.start for a, b in zip(spans, spans[1:]))
 
     @pytest.mark.parametrize("call", GRID_CALLS.values(), ids=GRID_CALLS.keys())
     def test_exact_work_at_the_top_of_the_domain(self, stage_calls, call):
@@ -438,6 +452,21 @@ class TestWalkWork:
             assert stage_calls == {("fermat", p * q): 1}
         else:
             assert stage_calls == {("mr", p * q): 1, ("fermat", p * q): 1, ("mr", p): 1, ("mr", q): 1}
+
+    @pytest.mark.parametrize("call", GRID_CALLS.values(), ids=GRID_CALLS.keys())
+    def test_a_pair_within_the_reach_needs_no_rho(self, stage_calls, call):
+        # p 8 % below sqrt(n) near 1e10 lies past the window of the balanced
+        # pre-check, but within the reach of the stage on a known composite
+        p = 91997  # prime
+        q = 108707  # the least prime above 1e10 // p
+        call(p * q)
+        assert not any(stage == "rho" for stage, _ in stage_calls)
+
+    @pytest.mark.parametrize("call", GRID_CALLS.values(), ids=GRID_CALLS.keys())
+    def test_the_stage_tries_at_most_the_reach_on_n(self, fermat_spans, call):
+        n = 1009 * (10**9 + 7)
+        call(n)
+        assert sum(len(t) for m, t in fermat_spans if m == n) <= qgrid._reach(n)
 
     def test_a_square_is_factored_once(self, stage_calls):
         p = 3037000453
