@@ -164,7 +164,7 @@ _RHO_BATCH = 128  # rho steps whose differences share one gcd
 # 2 n**(1/4) up to 1000 splits every pair of the first row up to 1e10 (the
 # window alone: 71 % at 1e9, 35 % at 1e10), 38 % at 1e12 and 20 % at 1e14, and
 # costs the p ~ n**(1/3) products +6, 11, 13, 15, 14, 7 and 4 % and the
-# p ~ n**0.4 ones +6, 13, 8, 8, 7, 2 and 0 %.  1.5 n**(1/4) saves 1-2 % of
+# p ~ n**0.4 ones +6, 13, 8, 8, 7, 2 and 0 %.  1.5 n**(1/4) saves 0-3 % of
 # that but splits only 88 % at 1e10; a cap of 2000 saves 15 % at 1e12 on the
 # near-square products and costs as much on the others.  Over more than 200
 # values of a the stage steps by residues mod 60 (see _fermat); by residues
@@ -287,13 +287,14 @@ def axis_divisor(n: int, descending: bool = False) -> int | None:
         return p
     if descending:
         # Fermat's first hit is the largest divisor itself.  On a miss,
-        # Miller-Rabin decides n, and a composite n goes on to the factors
-        # with neither test run on it again.
+        # Miller-Rabin decides n, and a composite n goes on to the factors,
+        # where Miller-Rabin does not run on it again and the Fermat stage
+        # resumes past its window.
         a = _fermat(n)
         if a is not None or _is_prime_mr(n):
             return a
         return _largest_divisor(axis_factors(n, composite=True), isqrt(n))
-    if not (n % 5 and n % 7) or gcd(n, _SMALL_PRIMORIAL) > 1:  # a factor up to SMALL_SPAN + 1: the walk stops at it
+    if not (n % 5 and n % 7) or gcd(n, _SMALL_PRIMORIAL) > 1:  # a factor up to 301: the walk stops at it
         return _walk(n, range(5, SMALL_SPAN + 1, 6))
     factors = _split(n)  # Miller-Rabin in it decides whether n is prime, once
     return min(factors) if len(factors) > 1 else None

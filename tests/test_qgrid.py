@@ -354,9 +354,6 @@ GRID_CALLS = {
 BALANCED_CALLS = {GRID_CALLS["is_prime-balanced"], GRID_CALLS["factor_on_grid-balanced"]}
 
 
-SPAN_PAIRS = (qgrid.SMALL_SPAN + 5) // 6  # the pairs of any stretch of SMALL_SPAN, rounded up
-
-
 class TestWalkWork:
     """Deterministic work counts, not wall clock, pin each path's cost."""
 
