@@ -146,39 +146,39 @@ _RHO_BATCH = 128  # rho steps whose differences share one gcd
 #
 #   N                          1e7   1e8   1e9  1e10  1e12  1e14  1e18
 #   p in the 10 % below sqrt(n)
-#     window                   6.3   7.2  41.7   186   567  1755  22.4 ms
-#     1.5 n**(1/4), cap 1000   7.1   8.4  15.6  50.2   426  1530  22.5
-#     2 n**(1/4), cap 1000     7.1  10.2  15.8  29.7   424  1561  24.0
-#     2 n**(1/4), cap 2000     7.1  10.2  15.8  28.8   363  1490  23.4
-#     3 n**(1/4), cap 1000     7.6  11.1  16.9  30.9   425  1557  22.5
+#     window                   7.2   8.2  46.4   170   519  1784  25.6 ms
+#     1.5 n**(1/4), cap 1000   8.1   9.6  16.1  45.0   413  1591  25.0
+#     2 n**(1/4), cap 500      8.2   9.9  16.7  50.9   430  1725  25.3
+#     2 n**(1/4), cap 1000     8.2   9.9  16.5  27.9   406  1582  25.0
+#     2 n**(1/4), cap 2000     8.2   9.9  16.6  27.6   364  1519  25.9
+#     3 n**(1/4), cap 1000     8.8  11.0  18.4  29.8   408  1579  25.1
 #   p ~ n**(1/3)
-#     window                  18.9  21.9  33.9  62.2   110   277   828
-#     1.5 n**(1/4), cap 1000  19.7  24.0  37.2  69.8   127   295   871
-#     2 n**(1/4), cap 1000    20.1  24.3  38.4  71.5   126   297   863
-#     2 n**(1/4), cap 2000    20.1  24.2  39.1  71.7   144   312   882
-#     3 n**(1/4), cap 1000    21.9  25.6  41.6  76.6   126   293   859
+#     window                  16.6  26.0  36.7  75.4   133   294   909
+#     1.5 n**(1/4), cap 1000  17.2  28.4  42.5  90.7   169   331   949
+#     2 n**(1/4), cap 500     17.4  29.6  44.8  90.3   146   305   940
+#     2 n**(1/4), cap 1000    17.6  28.9  44.7  95.7   165   330   954
+#     2 n**(1/4), cap 2000    17.3  29.3  45.1  97.0   210   369  1005
+#     3 n**(1/4), cap 1000    18.9  32.6  50.1   107   168   328   954
 #   p ~ n**0.4
-#     window                  26.9  26.0  71.7   132   248   484  4583
-#     2 n**(1/4), cap 1000    28.4  29.5  77.6   143   266   494  4598
+#     window                  21.6  28.4  78.6   156   252   598  4290
+#     2 n**(1/4), cap 1000    22.5  31.5  89.3   173   284   651  4491
 #
 # 2 n**(1/4) up to 1000 splits every pair of the first row up to 1e10 (the
 # window alone: 71 % at 1e9, 35 % at 1e10), 38 % at 1e12 and 20 % at 1e14, and
-# costs the p ~ n**(1/3) products +6, 11, 13, 15, 14, 7 and 4 % and the
-# p ~ n**0.4 ones +6, 13, 8, 8, 7, 2 and 0 %.  1.5 n**(1/4) saves 0-3 % of
-# that but splits only 88 % at 1e10; a cap of 2000 saves 15 % at 1e12 on the
-# near-square products and costs as much on the others.  Over more than 200
-# values of a the stage steps by residues mod 60 (see _fermat); by residues
-# mod 12 alone, a miss over 632 and 1000 values took 22 and 44 us, not 14 and
-# 23.  The near-square products at 1e7 and 1e8 hit inside the window; the
-# 1-3 us they lose is the call of _reach and, past 200 values, the dearer
-# setup of the runs mod 60.
+# costs the p ~ n**(1/3) products +6, 11, 22, 27, 24, 12 and 5 % and the
+# p ~ n**0.4 ones +4, 11, 14, 11, 13, 9 and 5 %: a miss over 632 and 1000
+# values of a takes ~22 and ~44 us.  1.5 n**(1/4) saves up to 5 % of that
+# but splits only 88 % at 1e10; a cap of 500 brings the p ~ n**(1/3) cost at
+# 1e12 and 1e14 down to +9 and +4 % but splits 86 % at 1e10 and 30 % at 1e12;
+# a cap of 2000 saves 10 % at 1e12 on the near-square products and costs the
+# others 27 %.  The near-square products at 1e7 and 1e8 hit inside the
+# window; the 1-2 us they lose is the call of _reach and the runs of the
+# residues tried before the hit, which go on to the reach's end.
 FERMAT_WINDOW = 100
 _SQUARES_MOD_64 = frozenset(i * i & 63 for i in range(32))  # (i + 32)**2 = i**2 (mod 64)
 _SQUARES_MOD_24 = frozenset(i * i % 24 for i in range(12))  # (i + 12)**2 = i**2 (mod 24)
 # Row n mod 24: the residues of a mod 12 that can make a*a - n a square.
 _FERMAT_RESIDUES = tuple(tuple(c for c in range(12) if (c * c - r) % 24 in _SQUARES_MOD_24) for r in range(24))
-# Row n mod 5: the residues of a mod 5 that can, where the squares mod 5 are 0, 1 and 4.
-_FERMAT_RESIDUES_MOD_5 = tuple(tuple(c for c in range(5) if (c * c - r) % 5 in (0, 1, 4)) for r in range(5))
 
 
 def axis_value(k: int) -> int:
@@ -290,7 +290,7 @@ def axis_divisor(n: int, descending: bool = False) -> int | None:
         # Miller-Rabin decides n, and a composite n goes on to the factors,
         # where Miller-Rabin does not run on it again and the Fermat stage
         # resumes past its window.
-        a = _fermat(n)
+        a = _fermat(n, 0, FERMAT_WINDOW)
         if a is not None or _is_prime_mr(n):
             return a
         return _largest_divisor(axis_factors(n, composite=True), isqrt(n))
@@ -396,8 +396,9 @@ def _split(n: int, composite: bool = False) -> list[int]:
     has missed, so the stage resumes past it.  The two halves of a square
     are one number, factored once.
     """
-    if composite:
-        d = _fermat(n, FERMAT_WINDOW, _reach(n)) or _rho(n)
+    if composite:  # the window [0, FERMAT_WINDOW) has missed: resume past it, if the reach goes further
+        reach = _reach(n)
+        d = (reach > FERMAT_WINDOW and _fermat(n, FERMAT_WINDOW, reach)) or _rho(n)
     elif isqrt(n) <= SMALL_SPAN or _is_prime_mr(n):
         return [n]
     else:
@@ -421,26 +422,17 @@ def _fermat(n: int, start: int = 0, stop: int = FERMAT_WINDOW) -> int | None:
     a*a - n = b*b makes a*a - n a square mod 24, and a*a mod 24 depends on
     a mod 12 alone, so a runs over the residues mod 12 that n mod 24 admits:
     one for n = 11, 23 (mod 24), two for n = 5, 7, 17, 19 and four for
-    n = 1, 13.  Over more than 2 * FERMAT_WINDOW values of a, a square mod 5
-    is asked too: of a's five residues mod 5, n = 2, 3 (mod 5) admit two,
-    n = 1, 4 three and n = 0 all five, and the residue mod 60 of c mod 12
-    and c5 mod 5 is 25 c + 36 c5.  That halves the a tried, at ~2.5 times
-    the runs, whose setup costs more than it saves over fewer a.  Each
-    residue's run stops below the least hit so far, and a*a - n goes to
-    isqrt only when it is a square mod 64.  The hit of a prime n is
-    a = (n + 1) / 2, past any reach for every n above TABLE_CAP; a composite
-    n's first hit is its largest divisor <= sqrt(n), above 1.
+    n = 1, 13.  Each residue's run stops below the least hit so far, and
+    a*a - n goes to isqrt only when it is a square mod 64.  The hit of a
+    prime n is a = (n + 1) / 2, past any reach for every n above TABLE_CAP;
+    a composite n's first hit is its largest divisor <= sqrt(n), above 1.
     """
     r = isqrt(n)
     low = r + (r * r < n)  # ceil(sqrt(n))
     hit, divisor = low + stop, None
     low += start
-    step, residues = 12, _FERMAT_RESIDUES[n % 24]
-    if stop - start > 2 * FERMAT_WINDOW:
-        step = 60
-        residues = [25 * c + 36 * c5 for c in residues for c5 in _FERMAT_RESIDUES_MOD_5[n % 5]]
-    for c in residues:
-        for a in range(low + (c - low) % step, hit, step):
+    for c in _FERMAT_RESIDUES[n % 24]:
+        for a in range(low + (c - low) % 12, hit, 12):
             x = a * a - n
             if (x & 63) in _SQUARES_MOD_64:
                 b = isqrt(x)

@@ -170,7 +170,9 @@ def test_products_at_the_edge_of_the_window(size):
     inside, outside = window_edge(p)
     assert fermat_offset(p, inside) < qgrid.FERMAT_WINDOW <= fermat_offset(p, outside)
     assert qgrid._fermat(p * inside) == p
-    assert qgrid._fermat(p * outside) is None  # left to rho, with the same answers
+    assert qgrid._fermat(p * outside) is None
+    # Once Miller-Rabin shows it composite, the reach meets it past the window.
+    assert qgrid._fermat(p * outside, qgrid.FERMAT_WINDOW, qgrid._reach(p * outside)) == p
     for n in (p * inside, p * outside):
         check(n)
 
