@@ -18,10 +18,11 @@ Above the cap, asc walks a short span of small axis values only, and
 only when one gcd with the product of their primes shows a factor there;
 balanced asks a bounded Fermat stage, whose first hit is the pair nearest
 the reflection line.  Then deterministic Miller-Rabin, exact on the whole
-64-bit domain, decides primality, and the Fermat stage, which on a known
-composite reaches further, else Pollard-Brent rho, splits the composites,
-so the witnesses are the same.  Miller-Rabin runs at most once on n, and
-the Fermat stage tries no value of a twice.  One guard,
+64-bit domain on one to seven proven bases, decides primality, and the
+Fermat stage, which on a known composite reaches further, else
+Pollard-Brent rho, splits the composites, so the witnesses are the same.
+Miller-Rabin runs at most once on n, and the Fermat stage tries no value
+of a twice.  One guard,
 require_strategy, refuses a strategy that is not a SearchStrategy member.
 The last-digit and digital-root pair tables are tested facts about factor
 pairs, not filters on the grid search.

@@ -13,15 +13,13 @@ from hypothesis import strategies as st
 from quasiprime import qgrid
 from quasiprime.errors import NoFactorsError
 from quasiprime.pipeline import SearchStrategy, factor_on_grid, full_factorize, is_prime
+from test_kernels import STRONG_PSEUDOPRIMES
 
 sympy = pytest.importorskip("sympy")
 
 ASC = SearchStrategy.ASCENDING_SCAN
 BAL = SearchStrategy.BALANCED_FIRST
 
-# psi_4, psi_5, psi_6, psi_7 and psi_9: each passes Miller-Rabin on every one
-# of the first 4, 5, 6, 7 and 9 prime bases, and is composite
-STRONG_PSEUDOPRIMES = [3215031751, 2152302898747, 3474749660383, 341550071728321, 3825123056546413051]
 LARGEST_PRIME = 2**63 - 25
 
 

@@ -1,6 +1,6 @@
 from array import array
 from collections import Counter
-from math import isqrt
+from math import gcd, isqrt, prod
 
 import pytest
 from hypothesis import given
@@ -26,6 +26,7 @@ from quasiprime.qgrid import (
 
 # Axis index of the largest axis value whose square is within the 64-bit cap.
 CAP_K = axis_index(3037000499)
+PRODUCT_5_TO_47 = prod((5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47))
 
 
 def axis_by_enumeration(count):
@@ -300,15 +301,35 @@ def fermats(monkeypatch):
 
 @pytest.fixture
 def stage_calls(monkeypatch):
-    """Calls of Miller-Rabin ("mr"), the Fermat stage ("fermat") and rho ("rho"), counted by (stage, n)."""
+    """Calls of Miller-Rabin ("mr"), the Fermat stage ("fermat") and rho ("rho"), counted by (stage, n).
+
+    Every n that reaches Miller-Rabin has no prime factor <= 47, which its
+    base tables need, or is refused for one.
+    """
     counts = Counter()
     for stage, name in (("mr", "_is_prime_mr"), ("fermat", "_fermat"), ("rho", "_rho")):
         def counted(n, *args, stage=stage, run=getattr(qgrid, name)):
             counts[stage, n] += 1
-            return run(n, *args)
+            result = run(n, *args)
+            if stage == "mr":
+                assert gcd(n, PRODUCT_5_TO_47) == 1 or result is False, n
+            return result
 
         monkeypatch.setattr(qgrid, name, counted)
     return counts
+
+
+@pytest.fixture
+def pow_calls(monkeypatch):
+    """Arguments of each call of pow in qgrid, one per Miller-Rabin base tried, in call order."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return pow(*args)
+
+    monkeypatch.setattr(qgrid, "pow", counted, raising=False)
+    return calls
 
 
 @pytest.fixture
@@ -464,6 +485,19 @@ class TestWalkWork:
         n = 1009 * (10**9 + 7)
         call(n)
         assert sum(len(t) for m, t in fermat_spans if m == n) <= qgrid._reach(n)
+
+    @pytest.mark.parametrize("call", GRID_CALLS.values(), ids=GRID_CALLS.keys())
+    @pytest.mark.parametrize(
+        "n, bases",
+        [(2347031, 1), (4294967291, 1), (10**10 + 19, 3), (2**63 - 25, 7)],
+        ids=["first-prime-above-the-cap", "largest-prime-below-2**32", "prime-near-1e10", "largest-prime"],
+    )
+    def test_a_prime_costs_one_pow_per_base_of_its_set(self, pow_calls, call, n, bases):
+        # one hashed base below 2**32, then sets of 3 up to 7 bases by size
+        assert oracle.trial_is_prime(n) if n < 10**11 else n == qgrid.MAX_VALUE - 24
+        call(n)
+        assert len(pow_calls) == bases
+        assert all(m == n for _, _, m in pow_calls)
 
     def test_a_square_is_factored_once(self, stage_calls):
         p = 3037000453
