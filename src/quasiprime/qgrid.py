@@ -191,8 +191,8 @@ _REACH_CAP = 1000  # the most values of a that _reach gives, so the longest span
 # _fermat_rows[i][n % m] has bit j set when j*j - n is a square mod m, for m
 # = _FERMAT_MODULI[i], repeated with period m over _REACH_CAP + m bits or more,
 # so shifted right by a % m its bit t answers for a + t.  Built on the first
-# call, ~0.5 ms and ~30 KB; moduli (576, 35, 143) pass 0.85 % too, but take
-# ~7 ms and ~140 KB to build.
+# call, ~0.5 ms and ~33 KB; moduli (576, 35, 143) pass 0.85 % too, but take
+# ~6 ms and ~150 KB to build.
 _FERMAT_MODULI = (64, 45, 77, 13)  # in the order _fermat unpacks their rows
 _fermat_rows: list[tuple[int, ...]] = []
 
