@@ -91,7 +91,7 @@ def chernick_carmichaels(limit):
     return out
 
 
-# Each base set's bound, where the next, longer set takes over, and the top of the domain.
+# Where the next, longer base set takes over: 2**32 and each set's bound below 2**64.
 BOUNDS = [2**32, *(bound for bound, _ in qgrid._MR_BASE_SETS[:-1])]
 
 
