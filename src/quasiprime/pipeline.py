@@ -14,16 +14,17 @@ one-byte least-axis-factor table over the 6k±1 slots does it without
 trial division: one lookup gives the least factor, and the balanced pair
 comes from the factors it gives.  The table is built in blocks, each on
 the first lookup that touches it, so a one-shot call pays for one block.
-Above the cap, asc walks a short span of small axis values only, and
-only when one gcd with the product of their primes shows a factor there;
-balanced asks a bounded Fermat stage, whose first hit is the pair nearest
-the reflection line.  Then deterministic Miller-Rabin, exact on the whole
-64-bit domain on one to seven proven bases, decides primality, and the
-Fermat stage, which on a known composite reaches further, else
-Pollard-Brent rho, splits the composites, so the witnesses are the same.
-Miller-Rabin runs at most once on n, and the Fermat stage tries no value
-of a twice.  One guard,
-require_strategy, refuses a strategy that is not a SearchStrategy member.
+Above the cap, both strategies walk a short span of small axis values,
+and only when one gcd with the product of their primes shows a factor
+there.  What is left meets one order: the window of a bounded Fermat
+stage, whose first hit is n's largest divisor <= sqrt(n); on a miss,
+deterministic Miller-Rabin, exact on the whole 64-bit domain on one to
+seven proven bases, decides primality; and the Fermat stage on the rest
+of its reach, else Pollard-Brent rho, splits a composite.  asc takes the
+least prime factor, and balanced reads the pair nearest the reflection
+line off the prime factors.  Miller-Rabin runs at most once on n, and the
+Fermat stage tries no value of a twice.  One guard, require_strategy,
+refuses a strategy that is not a SearchStrategy member.
 The last-digit and digital-root pair tables are tested facts about factor
 pairs, not filters on the grid search.
 """

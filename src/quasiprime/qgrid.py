@@ -15,16 +15,17 @@ wheel's 6k±1 slots (Pritchard, CACM 1981), built block by block on first
 touch, as in the segmented sieve (Bays & Hudson, BIT 1977).  Above the
 cap, one gcd with the product of the primes up to SMALL_SPAN says whether
 n has a factor there, and only then does a short walk over the axis values
-find the least one.  The factor pair nearest the reflection line comes
-first from a bounded Fermat stage: a runs up from ceil(sqrt(n)), bitmask
-rows pick out the a whose a*a - n is a square modulo 64, 45, 77 and 13, and
-the first a with a*a - n a square gives n's largest divisor <= sqrt(n).
-Deterministic Miller-Rabin on the fewest bases proven for n's size, one
-hashed base below 2**32 (Forisek & Jancina, ITAT 2015) and 3 to 7 above,
-decides the rest, and the composites are split by the same Fermat stage,
-which on a known composite goes on past its window to a reach sized to n,
-else by Pollard-Brent rho (Brent, BIT 1980).  Miller-Rabin runs at most
-once on n, and the Fermat stage tries no value of a twice.
+find the least one.  What the walk leaves goes to one order, the same for
+both strategies.  A bounded Fermat stage runs first: a runs up from
+ceil(sqrt(n)), bitmask rows pick out the a whose a*a - n is a square modulo
+64, 45, 77 and 13, and the first a with a*a - n a square gives n's largest
+divisor <= sqrt(n).  On a miss, deterministic Miller-Rabin on the fewest
+bases proven for n's size, one hashed base below 2**32 (Forisek & Jancina,
+ITAT 2015) and 3 to 7 above, decides n, and a composite is split by the
+Fermat stage past its window, to a reach sized to n, else by Pollard-Brent
+rho (Brent, BIT 1980).  The balanced pair, the one nearest the reflection
+line, is read off the prime factors.  Miller-Rabin runs at most once on n,
+and the Fermat stage tries no value of a twice.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ MAX_VALUE = 2**63 - 1  # the input cap of every entry point that takes an n
 REGION_CELL_CAP = 10**4
 # n with isqrt(n) <= WALK_LIMIT read the table; larger n take a walk over the
 # axis values up to SMALL_SPAN when their gcd with _SMALL_PRIMORIAL shows a
-# factor there (balanced: the Fermat stage first), then Miller-Rabin, the
-# Fermat stage and rho.  A table byte holds the pair index k <= 255 of a
+# factor there, then the Fermat stage's window, Miller-Rabin, the rest of the
+# stage's reach and rho.  A table byte holds the pair index k <= 255 of a
 # least factor 6k-1 or 6k+1, so WALK_LIMIT is the largest axis prime with
 # k <= 255, 1531 = 6 * 255 + 1 (no axis prime lies in (1531, 1543)).  The
 # byte, not the cost, sets it.  Per call on CPython 3.11.7
@@ -280,11 +281,10 @@ def axis_divisor(n: int, descending: bool = False) -> int | None:
     n must be coprime to 6, so every divisor above 1 lies on the axis.  The
     least one is the least prime factor; with ``descending`` the largest
     one, whose pair (a, n // a) is nearest the reflection line.  Up to
-    TABLE_CAP the table gives the least prime factor p, and the largest
-    divisor is p when n // p is prime, else it comes from n's prime factors.
-    Above it the least one comes from a walk over the axis values up to
-    SMALL_SPAN when a gcd shows a factor there, else from n's prime factors;
-    the largest one from the Fermat stage's window, else from n's prime
+    TABLE_CAP the table gives the least prime factor p.  Above it the least
+    one comes from a walk over the axis values up to SMALL_SPAN when a gcd
+    shows a factor there, else from n's prime factors.  The largest one is
+    p when n is the product of two primes, else it comes from n's prime
     factors.  None means n is 1 or prime.
     """
     if n <= TABLE_CAP:
@@ -298,34 +298,26 @@ def axis_divisor(n: int, descending: bool = False) -> int | None:
         p = 6 * k - 1
         if n % p:
             p += 2
-        if descending and axis_divisor(n // p) is not None:
-            return _largest_divisor(axis_factors(n), isqrt(n))
-        return p
-    if descending:
-        # Fermat's first hit is the largest divisor itself.  On a miss,
-        # Miller-Rabin decides n, and a composite n goes on to the factors,
-        # where Miller-Rabin does not run on it again and the Fermat stage
-        # resumes past its window.
-        a = _fermat(n, 0, FERMAT_WINDOW)
-        if a is not None or _is_prime_mr(n):
-            return a
-        return _largest_divisor(axis_factors(n, composite=True), isqrt(n))
-    if not (n % 5 and n % 7) or gcd(n, _SMALL_PRIMORIAL) > 1:  # a factor up to 301: the walk stops at it
-        return _walk(n, range(5, SMALL_SPAN + 1, 6))
-    factors = _split(n)  # Miller-Rabin in it decides whether n is prime, once
-    return min(factors) if len(factors) > 1 else None
+        if not descending or axis_divisor(n // p) is None:  # n // p is prime: p is the largest one too
+            return p
+    elif not descending:
+        if not (n % 5 and n % 7) or gcd(n, _SMALL_PRIMORIAL) > 1:  # a factor up to 301: the walk stops at it
+            return _walk(n, range(5, SMALL_SPAN + 1, 6))
+        factors = _split(n)  # the Fermat stage's window or Miller-Rabin in it decides whether n is prime, once
+        return min(factors) if len(factors) > 1 else None
+    factors = axis_factors(n)
+    if len(factors) < 3:  # prime, or the product of two primes
+        return factors[0] if len(factors) == 2 else None
+    return _largest_divisor(factors, isqrt(n))
 
 
-def axis_factors(n: int, composite: bool = False) -> list[int]:
+def axis_factors(n: int) -> list[int]:
     """Prime factors of n, ascending; n must be coprime to 6.
 
     Up to TABLE_CAP each factor is one table lookup.  Above it the walk
     stops at SMALL_SPAN, resuming after each factor it splits off at that
     factor's pair, and runs only while a gcd shows a factor up to there;
-    Miller-Rabin, the Fermat stage and rho factor what is left.
-    ``composite`` says that n is composite and that the Fermat stage's
-    window has missed on it, so Miller-Rabin does not run on n again and
-    the stage resumes past the window.
+    the Fermat stage, Miller-Rabin and rho factor what is left.
     """
     factors: list[int] = []
     low, small = 5, _SMALL_PRIMORIAL
@@ -333,12 +325,11 @@ def axis_factors(n: int, composite: bool = False) -> list[int]:
         if n % 5 and n % 7:
             small = gcd(n, small)  # a cofactor's small primes are among n's, so the next gcd is short
             if small == 1:
-                return factors + sorted(_split(n, composite))
+                return factors + sorted(_split(n))
         p = _walk(n, range(low, SMALL_SPAN + 1, 6))
         factors.append(p)
         n //= p
         low = _pair_start(p)
-        composite = False
     while n > 1:
         p = axis_divisor(n) or n  # None: n is prime
         factors.append(p)
@@ -402,23 +393,24 @@ def _walk(n: int, lows: range) -> int | None:
     return None
 
 
-def _split(n: int, composite: bool = False) -> list[int]:
+def _split(n: int) -> list[int]:
     """Prime factors of n > 1, unordered; n has none up to SMALL_SPAN.
 
-    So n is prime when isqrt(n) <= SMALL_SPAN, and Miller-Rabin is needed
-    only above that.  A composite n is split by the Fermat stage when its
-    largest divisor <= sqrt(n) lies within _reach(n) values of a, else by
-    rho; with ``composite``, n is known composite and the stage's window
-    has missed, so the stage resumes past it.  The two halves of a square
-    are one number, factored once.
+    So n is prime when isqrt(n) <= SMALL_SPAN.  Above that the Fermat
+    stage's window runs first, since a prime never hits it and a hit splits
+    n at its largest divisor <= sqrt(n).  On a miss Miller-Rabin decides n,
+    and a composite is split by the stage on the rest of _reach(n) values
+    of a, else by rho.  The two halves of a square are one number,
+    factored once.
     """
-    if composite:  # the window [0, FERMAT_WINDOW) has missed: resume past it, if the reach goes further
+    if isqrt(n) <= SMALL_SPAN:
+        return [n]
+    d = _fermat(n)
+    if d is None:
+        if _is_prime_mr(n):
+            return [n]
         reach = _reach(n)
         d = (reach > FERMAT_WINDOW and _fermat(n, FERMAT_WINDOW, reach)) or _rho(n)
-    elif isqrt(n) <= SMALL_SPAN or _is_prime_mr(n):
-        return [n]
-    else:
-        d = _fermat(n, 0, _reach(n)) or _rho(n)
     factors = _split(d)
     return factors + (factors if d * d == n else _split(n // d))
 
@@ -438,9 +430,10 @@ def _fermat(n: int, start: int = 0, stop: int = FERMAT_WINDOW) -> int | None:
     One AND of a shifted row per modulus in _FERMAT_MODULI leaves a bit for
     each a in the span whose a*a - n is a square modulo all of them, and
     those a go to isqrt in ascending order, so the first square is the
-    first hit.  The hit of a prime n is a = (n + 1) / 2, past any reach for
-    every n above TABLE_CAP; a composite n's first hit is its largest
-    divisor <= sqrt(n), above 1.
+    first hit.  The hit of a prime n is a = (n + 1) / 2, at t = (n + 1) / 2
+    - ceil(sqrt(n)) >= 45,000 for every n >= (SMALL_SPAN + 1)**2, the least
+    that _split gives it: past any reach.  A composite n's first hit is its
+    largest divisor <= sqrt(n), above 1.
     """
     r64, r45, r77, r13 = _fermat_rows or _build_fermat_rows()
     r = isqrt(n)
@@ -475,7 +468,7 @@ def _build_fermat_rows() -> list[tuple[int, ...]]:
 
 
 def _is_prime_mr(n: int) -> bool:
-    """Deterministic Miller-Rabin for n > TABLE_CAP coprime to 6, below 2**64.
+    """Deterministic Miller-Rabin for n >= (SMALL_SPAN + 1)**2 coprime to 6, below 2**64.
 
     n passes a base a when a**d == 1 or a**(d * 2**i) == -1 (mod n) for some
     i < s, where n - 1 = d * 2**s with d odd.  The bases are proven only for

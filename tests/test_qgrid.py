@@ -346,9 +346,9 @@ def fermat_spans(monkeypatch):
     return spans
 
 
-def assert_one_fermat_within_the_window(fermats, n):
-    """The Fermat stage ran once, on n, and a hit of it lies within its window."""
-    assert [m for m, _ in fermats] == [n]
+def assert_fermat_within_the_window(fermats, n, factors=()):
+    """The Fermat stage ran on n, then on each of the factors it split off, and a hit on n lies within its window."""
+    assert [m for m, _ in fermats] == [n, *factors]
     d = fermats[0][1]
     if d is not None:
         r = isqrt(n)
@@ -372,7 +372,6 @@ GRID_CALLS = {
     "factor_on_grid-balanced": lambda n: factor_or_none(n, BAL),
     "full_factorize": full_factorize,
 }
-BALANCED_CALLS = {GRID_CALLS["is_prime-balanced"], GRID_CALLS["factor_on_grid-balanced"]}
 
 
 class TestWalkWork:
@@ -380,17 +379,16 @@ class TestWalkWork:
 
     @pytest.mark.parametrize("call", GRID_CALLS.values(), ids=GRID_CALLS.keys())
     @pytest.mark.parametrize(
-        "n",
-        [2**63 - 25, 3037000453 * 3037000493],
+        "n, factors",
+        [(2**63 - 25, []), (3037000453 * 3037000493, [3037000453, 3037000493])],
         ids=["largest-prime", "largest-balanced-semiprime"],
     )
-    def test_large_n_walks_the_short_span_only(self, walks, fermats, call, n):
+    def test_large_n_walks_the_short_span_only(self, walks, fermats, call, n, factors):
         call(n)
         # n has no factor up to SMALL_SPAN + 1, which one gcd shows: no pair is walked
         assert walks == []
-        if call in BALANCED_CALLS:
-            # the Fermat stage answers, or leaves n to Miller-Rabin
-            assert_one_fermat_within_the_window(fermats, n)
+        # the Fermat stage splits n, or leaves it to Miller-Rabin, on every path
+        assert_fermat_within_the_window(fermats, n, factors)
 
     @pytest.mark.parametrize("call", GRID_CALLS.values(), ids=GRID_CALLS.keys())
     @pytest.mark.usefixtures("fresh_table")
@@ -416,17 +414,17 @@ class TestWalkWork:
         n = min(p for p in range(limit * limit, (limit + 1) ** 2) if oracle.trial_is_prime(p))
         call(n)
         assert walks == []
-        if call in BALANCED_CALLS:
-            assert_one_fermat_within_the_window(fermats, n)
+        assert_fermat_within_the_window(fermats, n)
 
     @pytest.mark.parametrize(
-        "n, least",
-        [(1009 * (10**9 + 7), 1009), (1000003 * 1000033, 1000003), (10**9 + 7, None)],
+        "n, least, tests",
+        [(1009 * (10**9 + 7), 1009, 1), (1000003 * 1000033, 1000003, 0), (10**9 + 7, None, 1)],
         ids=["small-times-large", "balanced", "prime"],
     )
-    def test_ascending_runs_miller_rabin_once_on_n(self, monkeypatch, n, least):
-        # Past the walk, _split alone decides whether n is prime; the rest of
-        # its Miller-Rabin calls are on the factors rho splits off.
+    def test_ascending_runs_miller_rabin_once_on_n(self, monkeypatch, n, least, tests):
+        # Past the walk, _split alone decides whether n is prime, and not at
+        # all when the Fermat stage's window splits n first; the rest of its
+        # Miller-Rabin calls are on the factors it splits off.
         tested = []
         mr = qgrid._is_prime_mr
 
@@ -437,7 +435,7 @@ class TestWalkWork:
         monkeypatch.setattr(qgrid, "_is_prime_mr", counted)
         verdict = is_prime(n, SearchStrategy.ASCENDING_SCAN)
         assert (verdict.witness.axis_values[0] if least else verdict.witness) == least
-        assert tested.count(n) == 1
+        assert tested.count(n) == tests
 
     @pytest.mark.parametrize(
         "n, largest, mr, fermat",
@@ -459,17 +457,14 @@ class TestWalkWork:
     @pytest.mark.parametrize("call", GRID_CALLS.values(), ids=GRID_CALLS.keys())
     def test_exact_work_at_the_top_of_the_domain(self, stage_calls, call):
         prime, p, q = 2**63 - 25, 3037000453, 3037000493
-        balanced = call in BALANCED_CALLS
+        # every path runs one order: the window misses on a prime, and Miller-Rabin decides it
         call(prime)
-        assert stage_calls == {("mr", prime): 1, **({("fermat", prime): 1} if balanced else {})}
+        assert stage_calls == {("fermat", prime): 1, ("mr", prime): 1}
         stage_calls.clear()
-        # the semiprime's pair is Fermat's first a, ceil(sqrt(n)): the stage
-        # splits it and rho never runs; asc tests n and then each factor once
+        # the semiprime's pair is Fermat's first a, ceil(sqrt(n)): the window
+        # splits it before Miller-Rabin, and each factor takes a miss and a test
         call(p * q)
-        if balanced:
-            assert stage_calls == {("fermat", p * q): 1}
-        else:
-            assert stage_calls == {("mr", p * q): 1, ("fermat", p * q): 1, ("mr", p): 1, ("mr", q): 1}
+        assert stage_calls == {("fermat", p * q): 1, ("fermat", p): 1, ("fermat", q): 1, ("mr", p): 1, ("mr", q): 1}
 
     @pytest.mark.parametrize("call", GRID_CALLS.values(), ids=GRID_CALLS.keys())
     def test_a_pair_within_the_reach_needs_no_rho(self, stage_calls, call):
@@ -502,8 +497,8 @@ class TestWalkWork:
     def test_a_square_is_factored_once(self, stage_calls):
         p = 3037000453
         assert full_factorize(p * p) == [p, p]
-        # the two halves are one number: Miller-Rabin tests it once
-        assert stage_calls == {("mr", p * p): 1, ("fermat", p * p): 1, ("mr", p): 1}
+        # the window splits p*p at a = p, and the two halves are one number, factored once
+        assert stage_calls == {("fermat", p * p): 1, ("fermat", p): 1, ("mr", p): 1}
 
 
 @pytest.fixture
