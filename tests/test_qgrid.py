@@ -468,8 +468,8 @@ class TestWalkWork:
 
     @pytest.mark.parametrize("call", GRID_CALLS.values(), ids=GRID_CALLS.keys())
     def test_a_pair_within_the_reach_needs_no_rho(self, stage_calls, call):
-        # p 8 % below sqrt(n) near 1e10 lies past the window of the balanced
-        # pre-check, but within the reach of the stage on a known composite
+        # p 8 % below sqrt(n) near 1e10 lies past the Fermat stage's window,
+        # but within its reach on a known composite
         p = 91997  # prime
         q = 108707  # the least prime above 1e10 // p
         call(p * q)
