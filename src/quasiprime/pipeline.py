@@ -14,13 +14,13 @@ one-byte least-axis-factor table over the 6k±1 slots does it without
 trial division: one lookup gives the least factor, and the balanced pair
 comes from the factors it gives.  The table is built in blocks, each on
 the first lookup that touches it, so a one-shot call pays for one block.
-Above the cap, both strategies walk a short span of small axis values,
-and only when one gcd with the product of their primes shows a factor
-there.  What is left meets one order: the window of a bounded Fermat
-stage, whose first hit is n's largest divisor <= sqrt(n); on a miss,
-deterministic Miller-Rabin, exact on the whole 64-bit domain on one to
-seven proven bases, decides primality; and the Fermat stage on the rest
-of its reach, else Pollard-Brent rho, splits a composite.  asc takes the
+Above the cap, one gcd with the product of the axis primes up to
+WALK_LIMIT gives n's primes that the table can name, and one lookup the
+least of them.  An n with none meets one order: the window of a bounded
+Fermat stage, whose first hit is n's largest divisor <= sqrt(n); on a
+miss, deterministic Miller-Rabin, exact on the whole 64-bit domain on one
+to seven proven bases, decides primality; and the Fermat stage on the
+rest of its reach, else Pollard-Brent rho, splits a composite.  asc takes the
 least prime factor, and balanced reads the pair nearest the reflection
 line off the prime factors.  Miller-Rabin runs at most once on n, and the
 Fermat stage tries no value of a twice.  One guard, require_strategy,
@@ -270,8 +270,8 @@ def full_factorize(n: int) -> list[int]:
 
     Factors 2 and 3 sit outside the quasi-prime domain; they are stripped
     first, then the grid axis splits off the rest: table lookups up to
-    qgrid.TABLE_CAP, and above it a gcd and a short walk, Miller-Rabin, the
-    Fermat stage and rho.
+    qgrid.TABLE_CAP, and above it a gcd and a lookup, the Fermat stage,
+    Miller-Rabin and rho.
     """
     require_in_cap(n)
     if n < 2:

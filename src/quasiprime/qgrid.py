@@ -13,10 +13,10 @@ n's least prime factor, so a lookup replaces trial division.  It is the
 least-prime-factor sieve (Gries & Misra, CACM 1978) restricted to the
 wheel's 6k±1 slots (Pritchard, CACM 1981), built block by block on first
 touch, as in the segmented sieve (Bays & Hudson, BIT 1977).  Above the
-cap, one gcd with the product of the primes up to SMALL_SPAN says whether
-n has a factor there, and only then does a short walk over the axis values
-find the least one.  What the walk leaves goes to one order, the same for
-both strategies.  A bounded Fermat stage runs first: a runs up from
+cap, one gcd with the product of the axis primes up to WALK_LIMIT gives
+the product of n's primes that the table can name, and the table names
+the least of them.  An n with none goes to one order, the same for both
+strategies.  A bounded Fermat stage runs first: a runs up from
 ceil(sqrt(n)), bitmask rows pick out the a whose a*a - n is a square modulo
 64, 45, 77 and 13, and the first a with a*a - n a square gives n's largest
 divisor <= sqrt(n).  On a miss, deterministic Miller-Rabin on the fewest
@@ -42,26 +42,22 @@ __all__ = ["GridCoordinate", "QuasiPrimeTag", "axis_index", "axis_value", "conta
 
 MAX_VALUE = 2**63 - 1  # the input cap of every entry point that takes an n
 REGION_CELL_CAP = 10**4
-# n with isqrt(n) <= WALK_LIMIT read the table; larger n take a walk over the
-# axis values up to SMALL_SPAN when their gcd with _SMALL_PRIMORIAL shows a
-# factor there, then the Fermat stage's window, Miller-Rabin, the rest of the
-# stage's reach and rho.  A table byte holds the pair index k <= 255 of a
-# least factor 6k-1 or 6k+1, so WALK_LIMIT is the largest axis prime with
-# k <= 255, 1531 = 6 * 255 + 1 (no axis prime lies in (1531, 1543)).  The
-# byte, not the cost, sets it.  Per call on CPython 3.11.7
-# (2-core VM, best of 5 over 60 n of each class, both strategies and
-# full_factorize):
+# n with isqrt(n) <= WALK_LIMIT read the table.  Above it, a gcd with
+# _AXIS_PRIMORIAL and a lookup give n's least factor when the table names it;
+# an n with no prime factor up to WALK_LIMIT goes to the Fermat stage's window,
+# Miller-Rabin, the rest of the stage's reach and rho.  A table byte holds the
+# pair index k <= 255 of a least factor 6k-1 or 6k+1, so WALK_LIMIT is the
+# largest axis prime with k <= 255, 1531 = 6 * 255 + 1 (no axis prime lies in
+# (1531, 1543)).  The byte, not the cost, sets it.  Per call on CPython 3.11.7
+# (2-core VM, CPU time, best of 7 over 60 n of each class, both strategies,
+# is_prime, factor_on_grid and full_factorize; semiprimes p*q with p in the
+# 10 % below sqrt(n)):
 #
 #   class       n in (TABLE_CAP/2, TABLE_CAP]    n in (TABLE_CAP, 4 TABLE_CAP]
-#   random      1.5-4.6 us (table)               6.7-19.7 us (walk, MR, rho)
-#   prime       0.9-1.2 us                       12.4-15.9 us
-#   semiprime   2.0-2.5 us                       3.8-35.5 us
-#
-# SMALL_SPAN from 100 to 1000 moved the mean over these classes at 1e7, 1e10,
-# 1e13 and 1e18 by no more than the run-to-run spread (~30 %), except primes
-# near 1e7: 8-12 us up to 300 and 20-29 us at 600 and 1000.  So it stays 300.
+#   random      1.1-3.2 us (table)               2.7-5.3 us (gcd, lookup, MR, rho)
+#   prime       0.7 us                           5.8-6.3 us
+#   semiprime   1.0-1.4 us                       2.7-3.6 us
 WALK_LIMIT = 1531
-SMALL_SPAN = 300
 TABLE_CAP = (WALK_LIMIT + 1) ** 2 - 1
 # Slot n // 3 of each n coprime to 6 holds k for n's least prime factor 6k-1 or
 # 6k+1, and 0 when n is 1 or prime.  The slots come in blocks of BLOCK_SLOTS:
@@ -81,14 +77,14 @@ _blocks: list[bytearray | None] = [None] * -(-(TABLE_CAP // 3 + 1) // BLOCK_SLOT
 _axis_primes: list[int] = []
 _PRIMES_5_TO_37 = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37)  # the axis primes below 41
 _PRODUCT_5_TO_37 = prod(_PRIMES_5_TO_37)
-# The product of the primes the walk over SMALL_SPAN can meet, 5 ... 293:
-# every composite up to SMALL_SPAN + 1 coprime to 6 has a factor below 41.
-# Above TABLE_CAP the walk runs only when n shares a prime with it.  The
-# walk's first pair, 5 and 7, is asked by two remainders before the gcd:
-# it holds the least factor of 31 % of the n coprime to 6, and the two cost
-# ~0.07 us on CPython 3.11.7 against ~0.4 us for the gcd.
-_SMALL_PRIMORIAL = _PRODUCT_5_TO_37 * prod(
-    v for v in range(41, SMALL_SPAN + 2, 2) if v % 3 and gcd(v, _PRODUCT_5_TO_37) == 1)
+# The product of the axis primes up to WALK_LIMIT, 5 ... 1531 (2,139 bits).
+# Above TABLE_CAP, gcd(n, _AXIS_PRIMORIAL) is the product of n's distinct
+# primes up to WALK_LIMIT, so its least prime is n's least factor.  The first
+# pair, 5 and 7, is asked by two remainders before the gcd: it holds the least
+# factor of 31 % of the n coprime to 6, and the two cost ~0.07 us on CPython
+# 3.11.7 against ~0.5-1.5 us for the gcd.
+_AXIS_PRIMORIAL = _PRODUCT_5_TO_37 * prod(
+    v for v in range(41, WALK_LIMIT + 1, 2) if v % 3 and gcd(v, _PRODUCT_5_TO_37) == 1)
 # Miller-Rabin bases, each set proven for every n below its bound that has
 # no prime factor <= 47.  Below 2**32 one base does it, chosen by a hash of n
 # from 256 (Forisek & Jancina, ITAT 2015); stored as 16-bit big-endian
@@ -124,7 +120,7 @@ _RHO_BATCH = 128  # rho steps whose differences share one gcd
 # rises, so the first a with a*a - n = b*b a square gives the largest divisor,
 # a - b (Lehman, Math. Comp. 1974; McKee, Math. Comp. 1999).  For d = s - t,
 # a - s = t*t / (2 (s - t)).  The stage replaced a walk down from s over
-# SMALL_SPAN: a divisor there, t < 300, is met at a - s < 300**2 / (2 (1532 -
+# 300 values: a divisor there, t < 300, is met at a - s < 300**2 / (2 (1532 -
 # 300)) < 36.6 just above TABLE_CAP, and closer as s grows, so a window of 37
 # values of a covers the walk's whole range at every n above the cap (over
 # every n in (TABLE_CAP, TABLE_CAP + 2e5], the farthest such a is 36 past
@@ -246,7 +242,7 @@ class GridCoordinate(namedtuple("GridCoordinate", "i j value")):
 
 
 def _cell(a: int, n: int) -> GridCoordinate:
-    """Cell of n for an axis divisor a <= sqrt(n) of n that a walk has proved.
+    """Cell of n for an axis divisor a <= sqrt(n) of n that the grid search has proved.
 
     v // 3 is the index of any axis value v (6t-1 -> 2t-1, 6t+1 -> 2t), and
     a * (n // a) == n holds already, so the constructor's checks are skipped.
@@ -282,10 +278,10 @@ def axis_divisor(n: int, descending: bool = False) -> int | None:
     least one is the least prime factor; with ``descending`` the largest
     one, whose pair (a, n // a) is nearest the reflection line.  Up to
     TABLE_CAP the table gives the least prime factor p.  Above it the least
-    one comes from a walk over the axis values up to SMALL_SPAN when a gcd
-    shows a factor there, else from n's prime factors.  The largest one is
-    p when n is the product of two primes, else it comes from n's prime
-    factors.  None means n is 1 or prime.
+    one is the least prime of n's gcd with _AXIS_PRIMORIAL when that exceeds
+    1, else it comes from n's prime factors.  The largest one is p when n is
+    the product of two primes, else it comes from n's prime factors.  None
+    means n is 1 or prime.
     """
     if n <= TABLE_CAP:
         i = n // 3
@@ -301,8 +297,11 @@ def axis_divisor(n: int, descending: bool = False) -> int | None:
         if not descending or axis_divisor(n // p) is None:  # n // p is prime: p is the largest one too
             return p
     elif not descending:
-        if not (n % 5 and n % 7) or gcd(n, _SMALL_PRIMORIAL) > 1:  # a factor up to 301: the walk stops at it
-            return _walk(n, range(5, SMALL_SPAN + 1, 6))
+        if not (n % 5 and n % 7):
+            return 7 if n % 5 else 5
+        small = gcd(n, _AXIS_PRIMORIAL)
+        if small > 1:
+            return _least_prime(small)
         factors = _split(n)  # the Fermat stage's window or Miller-Rabin in it decides whether n is prime, once
         return min(factors) if len(factors) > 1 else None
     factors = axis_factors(n)
@@ -314,22 +313,22 @@ def axis_divisor(n: int, descending: bool = False) -> int | None:
 def axis_factors(n: int) -> list[int]:
     """Prime factors of n, ascending; n must be coprime to 6.
 
-    Up to TABLE_CAP each factor is one table lookup.  Above it the walk
-    stops at SMALL_SPAN, resuming after each factor it splits off at that
-    factor's pair, and runs only while a gcd shows a factor up to there;
-    the Fermat stage, Miller-Rabin and rho factor what is left.
+    Up to TABLE_CAP each factor is one table lookup.  Above it each one up
+    to WALK_LIMIT is the least prime of a gcd with _AXIS_PRIMORIAL, and the
+    Fermat stage, Miller-Rabin and rho factor what has none.
     """
     factors: list[int] = []
-    low, small = 5, _SMALL_PRIMORIAL
+    small = _AXIS_PRIMORIAL
     while n > TABLE_CAP:
-        if n % 5 and n % 7:
+        if not (n % 5 and n % 7):
+            p = 7 if n % 5 else 5
+        else:
             small = gcd(n, small)  # a cofactor's small primes are among n's, so the next gcd is short
             if small == 1:
                 return factors + sorted(_split(n))
-        p = _walk(n, range(low, SMALL_SPAN + 1, 6))
+            p = _least_prime(small)
         factors.append(p)
         n //= p
-        low = _pair_start(p)
     while n > 1:
         p = axis_divisor(n) or n  # None: n is prime
         factors.append(p)
@@ -378,32 +377,33 @@ def _largest_divisor(factors: list[int], r: int) -> int:
     return max(divisors)
 
 
-def _pair_start(v: int) -> int:
-    """6k-1 of the largest (6k-1, 6k+1) pair starting at or below v."""
-    return v - (v + 1) % 6
+def _least_prime(g: int) -> int:
+    """Least prime of g > 1, a product of distinct axis primes up to WALK_LIMIT."""
+    if g <= TABLE_CAP:
+        return axis_divisor(g) or g  # one lookup
+    return _walk(g, range(5, WALK_LIMIT + 1, 6))  # two primes or more: at most 255 pairs
 
 
-def _walk(n: int, lows: range) -> int | None:
-    """Least divisor of n in the pairs (d, d + 2), d in lows; None when none holds one."""
+def _walk(n: int, lows: range) -> int:
+    """Least divisor of n in the pairs (d, d + 2), d in lows; one of them holds one."""
     for d in lows:
         if n % d == 0:
             return d
         if n % (d + 2) == 0:
             return d + 2
-    return None
 
 
 def _split(n: int) -> list[int]:
-    """Prime factors of n > 1, unordered; n has none up to SMALL_SPAN.
+    """Prime factors of n > 1, unordered; n has none up to WALK_LIMIT.
 
-    So n is prime when isqrt(n) <= SMALL_SPAN.  Above that the Fermat
+    So n is prime when n <= TABLE_CAP.  Above that the Fermat
     stage's window runs first, since a prime never hits it and a hit splits
     n at its largest divisor <= sqrt(n).  On a miss Miller-Rabin decides n,
     and a composite is split by the stage on the rest of _reach(n) values
     of a, else by rho.  The two halves of a square are one number,
     factored once.
     """
-    if isqrt(n) <= SMALL_SPAN:
+    if n <= TABLE_CAP:
         return [n]
     d = _fermat(n)
     if d is None:
@@ -431,9 +431,9 @@ def _fermat(n: int, start: int = 0, stop: int = FERMAT_WINDOW) -> int | None:
     each a in the span whose a*a - n is a square modulo all of them, and
     those a go to isqrt in ascending order, so the first square is the
     first hit.  The hit of a prime n is a = (n + 1) / 2, at t = (n + 1) / 2
-    - ceil(sqrt(n)) >= 45,000 for every n >= (SMALL_SPAN + 1)**2, the least
-    that _split gives it: past any reach.  A composite n's first hit is its
-    largest divisor <= sqrt(n), above 1.
+    - ceil(sqrt(n)) >= 45,000 for every n >= 301**2 and > 10**6 for every
+    n > TABLE_CAP, the least that _split gives it: past any reach.  A
+    composite n's first hit is its largest divisor <= sqrt(n), above 1.
     """
     r64, r45, r77, r13 = _fermat_rows or _build_fermat_rows()
     r = isqrt(n)
@@ -468,7 +468,7 @@ def _build_fermat_rows() -> list[tuple[int, ...]]:
 
 
 def _is_prime_mr(n: int) -> bool:
-    """Deterministic Miller-Rabin for n >= (SMALL_SPAN + 1)**2 coprime to 6, below 2**64.
+    """Deterministic Miller-Rabin for n >= 301**2 coprime to 6, below 2**64; _split asks it above TABLE_CAP.
 
     n passes a base a when a**d == 1 or a**(d * 2**i) == -1 (mod n) for some
     i < s, where n - 1 = d * 2**s with d odd.  The bases are proven only for

@@ -122,7 +122,7 @@ class TestMillerRabin:
     def test_agrees_with_the_sieve_up_to_4e6(self):
         limit = 4 * 10**6
         table = oracle.sieve(limit)
-        for n in range((qgrid.SMALL_SPAN + 1) ** 2, limit + 1):  # from the least n that _split tests
+        for n in range(301**2, limit + 1):  # from well below the least n that _split tests, TABLE_CAP + 1
             if free_of_47(n):
                 assert qgrid._is_prime_mr(n) == table.is_prime(n), n
 
@@ -181,9 +181,9 @@ class TestFermat:
                     assert qgrid._fermat(n, start, stop) == reference_fermat(n, start, stop), (n, start, stop)
 
     def test_a_prime_misses_every_reach(self):
-        # _split runs the window before Miller-Rabin on every n from (SMALL_SPAN + 1)**2 on,
-        # so a prime must miss it: its only hit, a = (p + 1) / 2, lies 45,000 or more past ceil(sqrt(p))
-        low = (qgrid.SMALL_SPAN + 1) ** 2
+        # _split runs the window before Miller-Rabin on every n above TABLE_CAP, so a prime
+        # must miss it: its only hit, a = (p + 1) / 2, lies 45,000 or more past ceil(sqrt(p)) from 301**2 on
+        low = 301**2
         table = oracle.sieve(low + 2 * 10**5)
         primes = [p for p in range(low + 1, low + 2 * 10**5 + 1) if table.is_prime(p)]
         assert primes and offset(1, primes[0]) >= 45000

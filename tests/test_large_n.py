@@ -84,7 +84,7 @@ def primes_around(bound):
 
 @pytest.mark.parametrize(
     "bound",
-    [qgrid.SMALL_SPAN, qgrid.WALK_LIMIT, isqrt(qgrid.MAX_VALUE)],
+    [300, qgrid.WALK_LIMIT, isqrt(qgrid.MAX_VALUE)],  # 300: where the walk above the cap used to stop
     ids=["SMALL_SPAN", "WALK_LIMIT", "isqrt(MAX_VALUE)"],
 )
 def test_powers_and_products_around_each_bound(bound):
@@ -97,13 +97,29 @@ def test_powers_and_products_around_each_bound(bound):
 
 
 def test_least_factor_around_the_small_span():
-    # above the crossover the upward walk stops at SMALL_SPAN: a least factor
-    # below it is the walk's to find, one just above it rho's
-    for p in primes_around(qgrid.SMALL_SPAN):
+    # above the crossover a walk up to 300 used to find a least factor below
+    # it, and rho one just above it; the gcd with the axis primorial finds both
+    for p in primes_around(300):
         for q in (p, sympy.nextprime(p), sympy.nextprime(10**6), sympy.prevprime(qgrid.MAX_VALUE // p)):
             for n in (p * q, p * p * q):
                 if n <= qgrid.MAX_VALUE:
                     check(n)
+
+
+# the axis primes the table names above the old walk's last one, 293, or a product of two or three of them
+table_primes = st.lists(st.sampled_from(list(sympy.primerange(294, qgrid.WALK_LIMIT + 1))), min_size=1, max_size=3)
+
+
+@given(table_primes.map(prod).flatmap(lambda p: st.tuples(st.just(p), st.integers(1, qgrid.MAX_VALUE // p))))
+@settings(max_examples=200, deadline=None)
+def test_least_factors_the_table_names_above_the_cap(pm):
+    # one gcd with the axis primorial and a lookup of its least prime stand
+    # in for the Fermat stage, Miller-Rabin and rho on every such n; m and
+    # the largest 6k+1 <= m, so that the product lies on the axis too
+    p, m = pm
+    for n in {p * m, p * (m - (m - 1) % 6)}:
+        if n > qgrid.TABLE_CAP:
+            check(n)
 
 
 def fermat_offset(p, q):
@@ -191,26 +207,27 @@ def test_products_at_the_edge_of_the_reach(size):
         check(n)
 
 
-def test_the_small_primorial_holds_the_primes_the_walk_can_meet():
-    # a gcd with it > 1 says the walk up to SMALL_SPAN + 1 finds a factor
-    assert qgrid._SMALL_PRIMORIAL == prod(sympy.primerange(5, qgrid.SMALL_SPAN + 3))
+def test_the_axis_primorial_is_the_product_of_the_primes_the_table_names():
+    # a gcd with it is the product of n's distinct primes from 5 to WALK_LIMIT
+    assert qgrid._AXIS_PRIMORIAL == prod(sympy.primerange(5, qgrid.WALK_LIMIT + 1))
 
 
 def test_the_stage_covers_the_walk_it_replaced():
-    # The walk down from sqrt(n) found any divisor d > isqrt(n) - SMALL_SPAN.
+    # The walk down from sqrt(n) found any divisor d > isqrt(n) - span.
     # Just above TABLE_CAP those lie farthest from ceil(sqrt(n)) in a.
+    span = 300
     farthest, deepest = 0, 0
     root = isqrt(qgrid.TABLE_CAP)
-    for d in range(root - qgrid.SMALL_SPAN, root + 1):
+    for d in range(root - span, root + 1):
         m = qgrid.TABLE_CAP // d + 1
         for n in (d * m for m in range(m, m + 12) if d * m % 6 in (1, 5)):
             r = isqrt(n)
-            if d > r - qgrid.SMALL_SPAN:
+            if d > r - span:
                 largest = max(x for x in range(d, r + 1) if n % x == 0)
                 assert qgrid._fermat(n) == largest, n
                 farthest = max(farthest, fermat_offset(largest, n // largest))
                 deepest = max(deepest, r - largest)
-                if r - largest > qgrid.SMALL_SPAN - 8:  # in the walk's last pair
+                if r - largest > span - 8:  # in the walk's last pair
                     check(n)
-    assert deepest == qgrid.SMALL_SPAN - 1
+    assert deepest == span - 1
     assert farthest == 36 < qgrid.FERMAT_WINDOW

@@ -1,6 +1,6 @@
 from array import array
 from collections import Counter
-from math import isqrt
+from math import gcd, isqrt, prod
 
 import pytest
 from hypothesis import given
@@ -304,9 +304,17 @@ def stage_calls(monkeypatch):
     """Calls of Miller-Rabin ("mr"), the Fermat stage ("fermat") and rho ("rho"), counted by (stage, n).
 
     Every n that reaches Miller-Rabin has no prime factor <= 47, which its
-    base tables need, or is refused for one.
+    base tables need, or is refused for one.  Every n that reaches _split,
+    which runs all three, has no prime factor the table can name.
     """
     counts = Counter()
+    split = qgrid._split
+
+    def checked_split(n):
+        assert gcd(n, qgrid._AXIS_PRIMORIAL) == 1, n
+        return split(n)
+
+    monkeypatch.setattr(qgrid, "_split", checked_split)
     for stage, name in (("mr", "_is_prime_mr"), ("fermat", "_fermat"), ("rho", "_rho")):
         def counted(n, *args, stage=stage, run=getattr(qgrid, name)):
             counts[stage, n] += 1
@@ -385,7 +393,7 @@ class TestWalkWork:
     )
     def test_large_n_walks_the_short_span_only(self, walks, fermats, call, n, factors):
         call(n)
-        # n has no factor up to SMALL_SPAN + 1, which one gcd shows: no pair is walked
+        # n has no factor up to WALK_LIMIT, which one gcd shows: no pair is walked
         assert walks == []
         # the Fermat stage splits n, or leaves it to Miller-Rabin, on every path
         assert_fermat_within_the_window(fermats, n, factors)
@@ -418,13 +426,14 @@ class TestWalkWork:
 
     @pytest.mark.parametrize(
         "n, least, tests",
-        [(1009 * (10**9 + 7), 1009, 1), (1000003 * 1000033, 1000003, 0), (10**9 + 7, None, 1)],
+        [(1009 * (10**9 + 7), 1009, 0), (1000003 * 1000033, 1000003, 0), (10**9 + 7, None, 1)],
         ids=["small-times-large", "balanced", "prime"],
     )
     def test_ascending_runs_miller_rabin_once_on_n(self, monkeypatch, n, least, tests):
-        # Past the walk, _split alone decides whether n is prime, and not at
-        # all when the Fermat stage's window splits n first; the rest of its
-        # Miller-Rabin calls are on the factors it splits off.
+        # When the gcd with the axis primorial names no factor, _split alone
+        # decides whether n is prime, and not at all when the Fermat stage's
+        # window splits n first; the rest of its Miller-Rabin calls are on the
+        # factors it splits off.
         tested = []
         mr = qgrid._is_prime_mr
 
@@ -439,20 +448,43 @@ class TestWalkWork:
 
     @pytest.mark.parametrize(
         "n, largest, mr, fermat",
-        [(1009 * (10**9 + 7), 1009, 1, 2), (1000003 * 1000033, 1000003, 0, 1), (10**9 + 7, None, 1, 1)],
+        [(1009 * (10**9 + 7), 1009, 0, 0), (1000003 * 1000033, 1000003, 0, 1), (10**9 + 7, None, 1, 1)],
         ids=["small-times-large", "balanced", "prime"],
     )
     def test_balanced_runs_miller_rabin_and_fermat_once_on_n(self, stage_calls, fermat_spans, n, largest, mr,
                                                              fermat):
-        # A Fermat hit in the window settles n; on a miss Miller-Rabin decides
-        # it, and a composite goes on to the rest of the Fermat stage's reach
-        # and rho, with Miller-Rabin not run again and no a tried twice.
+        # A factor the table names settles n with neither stage; else a Fermat
+        # hit in the window does, and on a miss Miller-Rabin decides it, and a
+        # composite goes on to the rest of the Fermat stage's reach and rho,
+        # with Miller-Rabin not run again and no a tried twice.
         verdict = is_prime(n, SearchStrategy.BALANCED_FIRST)
         assert (verdict.witness.axis_values[0] if largest else verdict.witness) == largest
         assert stage_calls["fermat", n] == fermat
         assert stage_calls["mr", n] == mr
         spans = [t for m, t in fermat_spans if m == n]
         assert all(a.stop <= b.start for a, b in zip(spans, spans[1:]))
+
+    @pytest.mark.parametrize("call", GRID_CALLS.values(), ids=GRID_CALLS.keys())
+    @pytest.mark.parametrize(
+        "factors, walked",
+        [([1009, 10**9 + 7], []), ([1531, 4294967291], []), ([1009, 1013, 1019, 10**9 + 7], [168])],
+        ids=["1009", "1531", "gcd-above-the-cap"],
+    )
+    def test_a_factor_the_table_names_needs_no_stage_on_n(self, stage_calls, walks, call, factors, walked):
+        # One gcd with the axis primorial holds n's primes up to WALK_LIMIT.
+        # Up to TABLE_CAP the table names its least; 1009 * 1013 * 1019 lies
+        # above it, so a walk meets 1009 at the pair (1007, 1009), the 168th.
+        # Neither the Fermat stage, Miller-Rabin nor rho runs on n; asc stops
+        # there, and the other paths test the last factor, a prime, alone.
+        n, least, prime = prod(factors), factors[0], factors[-1]
+        assert n > qgrid.TABLE_CAP and qgrid.axis_divisor(n) == least
+        assert walks == walked
+        walks.clear()
+        call(n)
+        assert walks == walked
+        asc = call in (GRID_CALLS["is_prime-asc"], GRID_CALLS["factor_on_grid-asc"])
+        assert stage_calls == ({} if asc else {("fermat", prime): 1, ("mr", prime): 1})
+        assert full_factorize(n) == factors
 
     @pytest.mark.parametrize("call", GRID_CALLS.values(), ids=GRID_CALLS.keys())
     def test_exact_work_at_the_top_of_the_domain(self, stage_calls, call):
