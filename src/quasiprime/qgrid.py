@@ -82,7 +82,7 @@ _PRODUCT_5_TO_37 = prod(_PRIMES_5_TO_37)
 # primes up to WALK_LIMIT, so its least prime is n's least factor.  The first
 # pair, 5 and 7, is asked by two remainders before the gcd: it holds the least
 # factor of 31 % of the n coprime to 6, and the two cost ~0.07 us on CPython
-# 3.11.7 against ~0.5-1.5 us for the gcd.
+# 3.11.7 against ~0.6-1.4 us for the gcd.
 _AXIS_PRIMORIAL = _PRODUCT_5_TO_37 * prod(
     v for v in range(41, WALK_LIMIT + 1, 2) if v % 3 and gcd(v, _PRODUCT_5_TO_37) == 1)
 # Miller-Rabin bases, each set proven for every n below its bound that has

@@ -476,15 +476,13 @@ class TestWalkWork:
         # above it, so a walk meets 1009 at the pair (1007, 1009), the 168th.
         # Neither the Fermat stage, Miller-Rabin nor rho runs on n; asc stops
         # there, and the other paths test the last factor, a prime, alone.
-        n, least, prime = prod(factors), factors[0], factors[-1]
-        assert n > qgrid.TABLE_CAP and qgrid.axis_divisor(n) == least
-        assert walks == walked
-        walks.clear()
+        n, prime = prod(factors), factors[-1]
+        assert n > qgrid.TABLE_CAP
         call(n)
         assert walks == walked
         asc = call in (GRID_CALLS["is_prime-asc"], GRID_CALLS["factor_on_grid-asc"])
         assert stage_calls == ({} if asc else {("fermat", prime): 1, ("mr", prime): 1})
-        assert full_factorize(n) == factors
+        assert qgrid.axis_divisor(n) == factors[0] and full_factorize(n) == factors
 
     @pytest.mark.parametrize("call", GRID_CALLS.values(), ids=GRID_CALLS.keys())
     def test_exact_work_at_the_top_of_the_domain(self, stage_calls, call):
