@@ -1,190 +1,46 @@
-"""CLI, report rendering, benchmark harness, and the SVG wheel emitter.
+"""CLI and report rendering for the `qprime` subcommands.
 
 Subcommands: prime, factor, qgrid, wheel, verify, bench, density.  Every
 command renders text by default and JSON under --json.  Exit codes:
 0 success (quiet prime mode: 0 = prime, 1 = composite), 2 usage error,
 3 internal error.  Verify exits 1 when mismatches exist.
 
-Each qprime process compiles what it imports, so the sieve oracle is
-imported only by the commands that check against it (wheel, verify, bench)
-and json only under --json.
+Each qprime process compiles what it imports, so a command loads only what
+it runs: the wheel emitter and the bench harness are modules of their own,
+which only `wheel` and `bench` load (shell serves their names on first
+access); the sieve oracle loads for wheel, verify and bench; json for --json.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
-import time
-from collections import namedtuple
 
 from . import pipeline, qgrid
-from .errors import ConsistencyError, ResourceLimitError
-from .numerics import modulus_of, prime_moduli
+from .errors import ConsistencyError
 from .pipeline import SearchStrategy, VerdictKind
 
-WHEEL_LIMIT_CAP = 10**4
-BENCH_LIMIT_CAP = 10**7
 MAX_LIMIT_ENV = "QP_MAX_LIMIT"
 
-
-# --------------------------------------------------------------------------
-# wheel rendering
-
-
-class WheelRender(namedtuple("WheelRender", "sides limit highlighted primes")):
-    """Everything the SVG emitter needs: geometry plus verified primality."""
-
-    __slots__ = ()
-
-    @property
-    def rings(self) -> int:
-        return math.ceil(self.limit / self.sides)
+# Names that moved to the modules of the two commands that use them, served
+# on first access (PEP 562), so that importing shell compiles neither.
+_MOVED = {
+    **dict.fromkeys(("WheelRender", "build_wheel_render", "emit_wheel_svg", "WHEEL_LIMIT_CAP"), "wheel"),
+    **dict.fromkeys(("BenchReport", "bench", "BENCH_LIMIT_CAP"), "bench"),
+}
 
 
-def build_wheel_render(sides: int, limit: int) -> WheelRender:
-    """Assemble a render, cross-checking the pipeline against the sieve.
+def __getattr__(name: str):
+    if name not in _MOVED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
 
-    Aborts with ConsistencyError if the two ever disagree, or if any prime
-    above 3 sits off the highlighted spokes.
-    """
-    from . import oracle
-
-    highlighted = prime_moduli(sides)
-    if limit < 1:
-        raise ValueError(f"wheel limit must be positive, got {limit}")
-    if limit > WHEEL_LIMIT_CAP:
-        raise ResourceLimitError(f"wheel limit {limit} exceeds render cap {WHEEL_LIMIT_CAP}")
-    report = oracle.verify_range(max(limit, 2), factor_stride=0)
-    if report.mismatches:
-        raise ConsistencyError(f"pipeline and sieve disagree at {report.mismatches[0][0]}")
-    primes = [p for p in oracle.sieve(report.limit).primes() if p <= limit]
-    for p in primes:
-        if p > 3 and modulus_of(p, sides) not in highlighted:
-            raise ConsistencyError(f"prime {p} landed off the prime moduli")
-    return WheelRender(sides, limit, highlighted, frozenset(primes))
+    return getattr(import_module(f".{_MOVED[name]}", __package__), name)
 
 
-def emit_wheel_svg(render: WheelRender) -> str:
-    """Deterministic SVG: concentric numbered rings, primes marked,
-    prime-moduli spokes highlighted.  Identical input gives identical bytes."""
-    sides, limit = render.sides, render.limit
-    rings = render.rings
-    r0, step = 30.0, 16.0
-    outer = r0 + rings * step
-    margin = 14.0
-    size = 2 * (outer + margin)
-    cx = cy = size / 2
-
-    def point(ring: int, spoke: int, radius_nudge: float = 0.0) -> tuple[float, float]:
-        angle = math.radians(-90.0 + (spoke - 1) * 360.0 / sides)
-        r = r0 + ring * step + radius_nudge
-        return cx + r * math.cos(angle), cy + r * math.sin(angle)
-
-    out = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{size:.2f}" height="{size:.2f}" viewBox="0 0 {size:.2f} {size:.2f}">',
-        f"<title>{sides}-wheel of 1..{limit}</title>",
-        f'<rect width="{size:.2f}" height="{size:.2f}" fill="#ffffff"/>',
-    ]
-    out.append('<g fill="none">')
-    for spoke in range(1, sides + 1):
-        x1, y1 = point(0, spoke, -step / 2)
-        x2, y2 = point(rings, spoke, step / 2)
-        if spoke in render.highlighted:
-            style = 'class="spoke highlighted" stroke="#e07a00" stroke-width="1.6"'
-        else:
-            style = 'class="spoke" stroke="#e6e6e6" stroke-width="0.8"'
-        out.append(f'<line {style} x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}"/>')
-    for ring in range(1, rings + 1):
-        out.append(
-            f'<circle class="ring" stroke="#d9d9d9" stroke-width="0.6" '
-            f'cx="{cx:.2f}" cy="{cy:.2f}" r="{r0 + ring * step:.2f}"/>'
-        )
-    out.append("</g>")
-    out.append('<g font-family="monospace" font-size="7.5" text-anchor="middle">')
-    for n in range(1, limit + 1):
-        ring = (n - 1) // sides + 1
-        spoke = (n - 1) % sides + 1
-        x, y = point(ring, spoke)
-        marker = None
-        if n in render.primes:
-            if n > 3 and spoke not in render.highlighted:
-                raise ConsistencyError(f"prime {n} would be drawn off the highlighted spokes")
-            marker = "#1b9e77" if n > 3 else "#7570b3"  # 2 and 3 sit off the pattern
-        if marker:
-            cls = "prime" if n > 3 else "offpattern"
-            out.append(f'<circle class="{cls}" fill="{marker}" cx="{x:.2f}" cy="{y:.2f}" r="6.4"/>')
-            fill = "#ffffff"
-        else:
-            fill = "#444444"
-        out.append(f'<text x="{x:.2f}" y="{y + 2.4:.2f}" fill="{fill}">{n}</text>')
-    out.append("</g>")
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
-
-
-# --------------------------------------------------------------------------
-# benchmark harness
-
-
-class BenchReport(
-    namedtuple(
-        "BenchReport",
-        "limit pipeline_seconds trial_division_seconds primes_found survivors fraction "
-        "per_stage_rejections notes",
-    )
-):
-    """Timing comparison of the staged pipeline against naive trial division.
-
-    Both timings are informational; no speedup figure is asserted anywhere.
-    """
-
-    __slots__ = ()
-
-    def to_json_dict(self) -> dict:
-        return {
-            **self._asdict(),
-            "per_stage_rejections": pipeline.rejections_by_name(self.per_stage_rejections),
-        }
-
-
-def bench(limit: int) -> BenchReport:
-    """Time staged primality and trial division over [2, limit]."""
-    from . import oracle
-
-    if limit > BENCH_LIMIT_CAP:
-        raise ResourceLimitError(f"bench limit {limit} exceeds cap {BENCH_LIMIT_CAP}")
-    if limit < 100:
-        raise ValueError(f"bench needs limit >= 100, got {limit}")
-
-    is_prime = pipeline.is_prime
-    t0 = time.perf_counter()
-    pipeline_count = sum(1 for n in range(2, limit + 1) if is_prime(n).is_prime)
-    pipeline_seconds = time.perf_counter() - t0
-
-    trial = oracle.trial_is_prime
-    t0 = time.perf_counter()
-    trial_count = sum(1 for n in range(2, limit + 1) if trial(n))
-    trial_seconds = time.perf_counter() - t0
-
-    if pipeline_count != trial_count:
-        raise ConsistencyError(
-            f"pipeline found {pipeline_count} primes, trial division {trial_count}"
-        )
-    density = pipeline.survivor_density(limit)
-    return BenchReport(
-        limit=limit,
-        pipeline_seconds=pipeline_seconds,
-        trial_division_seconds=trial_seconds,
-        primes_found=pipeline_count,
-        survivors=density.survivors,
-        fraction=float(density.fraction),
-        per_stage_rejections=dict(density.per_stage_rejections),
-        notes="wall-clock timings on this machine only; no speedup is asserted",
-    )
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_MOVED})
 
 
 # --------------------------------------------------------------------------
@@ -353,6 +209,8 @@ def _cmd_qgrid(args) -> int:
 
 
 def _cmd_wheel(args) -> int:
+    from .wheel import build_wheel_render, emit_wheel_svg
+
     render = build_wheel_render(args.sides, args.limit)
     svg = emit_wheel_svg(render)
     try:
@@ -393,6 +251,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    from .bench import bench
+
     report = bench(args.limit)
     rejections = pipeline.rejections_by_name(report.per_stage_rejections)
     text = (
