@@ -59,8 +59,12 @@ def test_import_builds_no_table_and_a_small_call_a_small_one():
 
 
 # What a command does not use stays unloaded: the dataclass machinery (with
-# inspect), fractions (with decimal), json and the sieve oracle.
-UNUSED = ("dataclasses", "inspect", "fractions", "decimal", "json", "quasiprime.oracle")
+# inspect), fractions (with decimal), json, the sieve oracle, the wheel
+# emitter and the bench harness.
+UNUSED = (
+    "dataclasses", "inspect", "fractions", "decimal", "json",
+    "quasiprime.oracle", "quasiprime.wheel", "quasiprime.bench",
+)
 
 GUARD_PROBE = """
 import runpy, sys
@@ -91,6 +95,63 @@ def test_import_and_a_quiet_verdict_load_nothing_they_do_not_use():
     assert quiet == "1 False"  # 91 = 7 × 13 is composite
     assert served == "True ['quasiprime.oracle']"  # loaded on first access only
     assert unbound == "[]"  # then bound in the package, as an eager import left them
+
+
+# Each command of a fresh qprime process loads the wheel emitter or the bench
+# harness only when it is that command.
+COMMAND_PROBE = """
+import contextlib, io, runpy, sys
+sys.argv = ["qprime", *sys.argv[1:]]
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        runpy.run_module("quasiprime", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        code = exc.code
+print(code, sorted({"quasiprime.wheel", "quasiprime.bench"} & set(sys.modules)))
+"""
+
+
+COMMANDS = [
+    (["prime", "97", "--json"], []),
+    (["factor", "360", "--json"], []),
+    (["qgrid", "--rows", "1..3", "--cols", "1..4", "--json"], []),
+    (["verify", "--limit", "1000", "--json"], []),
+    (["density", "--limit", "1000", "--json"], []),
+    (["wheel", "--limit", "48", "--out", "{tmp}/w.svg", "--json"], ["quasiprime.wheel"]),
+    (["bench", "--limit", "100", "--json"], ["quasiprime.bench"]),
+]
+
+
+@pytest.mark.parametrize("argv, loaded", COMMANDS, ids=[argv[0] for argv, _ in COMMANDS])
+def test_each_command_loads_only_its_own_module(tmp_path, argv, loaded):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    result = subprocess.run(
+        [sys.executable, "-c", COMMAND_PROBE, *argv], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout == f"0 {loaded}\n"
+
+
+# The names that moved out of shell into the modules of the commands that use
+# them, each still served by shell as the same object and listed by dir().
+MOVED = {
+    "wheel": ("WheelRender", "build_wheel_render", "emit_wheel_svg", "WHEEL_LIMIT_CAP"),
+    "bench": ("BenchReport", "bench", "BENCH_LIMIT_CAP"),
+}
+
+
+@pytest.mark.parametrize("module", list(MOVED))
+def test_shell_serves_the_names_that_moved(module):
+    from quasiprime import shell
+
+    home = import_module(f"quasiprime.{module}")
+    listed = dir(shell)
+    for name in MOVED[module]:
+        assert getattr(shell, name) is getattr(home, name), name
+        assert name in listed, name
+    assert "main" in listed and "format_region_text" in listed
+    with pytest.raises(AttributeError, match="'quasiprime.shell' has no attribute 'no_such_name'"):
+        shell.no_such_name
 
 
 # The sieve oracle, loaded by the commands that check against it, adds no

@@ -335,6 +335,30 @@ class TestUsageAndCaps:
         monkeypatch.setenv(shell.MAX_LIMIT_ENV, "soon")
         assert run(capsys, "density", "--limit", "900")[0] == 2
 
+    # What each help text must name: its options, positionals, choices and
+    # metavars, written out here rather than read off the parser.
+    HELP = {
+        (): ["prime", "factor", "qgrid", "wheel", "verify", "bench", "density"],
+        ("prime",): ["\n  n\n", "--strategy", "{asc,balanced}", "--quiet", "--json"],
+        ("factor",): ["\n  n\n", "--json"],
+        ("qgrid",): ["--rows A..B", "--cols C..D", "--json"],
+        ("wheel",): ["--sides SIDES", "--limit LIMIT", "--out FILE.svg", "--json"],
+        ("verify",): ["--limit LIMIT", "--strategy", "{asc,balanced}",
+                      "--factor-stride FACTOR_STRIDE", "--json"],
+        ("bench",): ["--limit LIMIT", "--json"],
+        ("density",): ["--limit LIMIT", "--json"],
+    }
+
+    @pytest.mark.parametrize("command", list(HELP), ids=lambda c: " ".join(c) or "qprime")
+    def test_help_names_every_option(self, capsys, command):
+        code, out, err = run(capsys, *command, "--help")
+        assert code == 0
+        assert err == ""
+        assert out.startswith(" ".join(("usage: qprime", *command)) + " [-h]")
+        assert "-h, --help" in out
+        for name in self.HELP[command]:
+            assert name in out, name
+
 
 class TestRegionFormatting:
     def test_header_and_rows(self):
