@@ -14,18 +14,19 @@ least-prime-factor sieve (Gries & Misra, CACM 1978) restricted to the
 wheel's 6k±1 slots (Pritchard, CACM 1981), built block by block on first
 touch, as in the segmented sieve (Bays & Hudson, BIT 1977).  Above the
 cap, one gcd with the product of the axis primes up to WALK_LIMIT gives
-the product of n's primes that the table can name, and the table names
-the least of them.  An n with none goes to one order, the same for both
-strategies.  A bounded Fermat stage runs first: a runs up from
-ceil(sqrt(n)), bitmask rows pick out the a whose a*a - n is a square modulo
-64, 45, 77 and 13, and the first a with a*a - n a square gives n's largest
-divisor <= sqrt(n).  On a miss, deterministic Miller-Rabin on the fewest
-bases proven for n's size, one hashed base below 2**32 (Forisek & Jancina,
-ITAT 2015) and 3 to 7 above, decides n, and a composite is split by the
-Fermat stage past its window, to a reach sized to n, else by Pollard-Brent
-rho (Brent, BIT 1980).  The balanced pair, the one nearest the reflection
-line, is read off the prime factors.  Miller-Rabin runs at most once on n,
-and the Fermat stage tries no value of a twice.
+the product of n's primes that the table can name, and the table (or, for
+a gcd above the cap, a scan of those primes) names the least of them.  An
+n with none goes to one order, the same for both strategies.  A bounded
+Fermat stage runs first: a runs up from ceil(sqrt(n)), bitmask rows pick
+out the a whose a*a - n is a square modulo 64, 45, 77 and 13, and the
+first a with a*a - n a square gives n's largest divisor <= sqrt(n).  On a
+miss, deterministic Miller-Rabin on the fewest bases proven for n's size,
+one hashed base below 2**32 (Forisek & Jancina, ITAT 2015) and 3 to 7
+above, decides n, and a composite is split by the Fermat stage past its
+window, to a reach sized to n, else by Pollard-Brent rho (Brent, BIT
+1980).  The balanced pair, the one nearest the reflection line, is read
+off the prime factors.  Miller-Rabin runs at most once on n, and the
+Fermat stage tries no value of a twice.
 """
 
 from __future__ import annotations
@@ -73,18 +74,19 @@ _BLOCK_BITS = 14
 BLOCK_SLOTS = 1 << _BLOCK_BITS
 _BLOCK_MASK = BLOCK_SLOTS - 1
 _blocks: list[bytearray | None] = [None] * -(-(TABLE_CAP // 3 + 1) // BLOCK_SLOTS)
-# The axis primes up to WALK_LIMIT, ascending; listed once, by the first build.
-_axis_primes: list[int] = []
 _PRIMES_5_TO_37 = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37)  # the axis primes below 41
 _PRODUCT_5_TO_37 = prod(_PRIMES_5_TO_37)
-# The product of the axis primes up to WALK_LIMIT, 5 ... 1531 (2,139 bits).
-# Above TABLE_CAP, gcd(n, _AXIS_PRIMORIAL) is the product of n's distinct
-# primes up to WALK_LIMIT, so its least prime is n's least factor.  The first
-# pair, 5 and 7, is asked by two remainders before the gcd: it holds the least
-# factor of 31 % of the n coprime to 6, and the two cost ~0.07 us on CPython
-# 3.11.7 against ~0.6-1.4 us for the gcd.
-_AXIS_PRIMORIAL = _PRODUCT_5_TO_37 * prod(
+# The axis primes up to WALK_LIMIT, 5 ... 1531, ascending: those below 41,
+# then the axis values up to WALK_LIMIT < 41**2 coprime to them, since every
+# composite below 41**2 has a prime factor below 41.  Built once, at import.
+_AXIS_PRIMES = _PRIMES_5_TO_37 + tuple(
     v for v in range(41, WALK_LIMIT + 1, 2) if v % 3 and gcd(v, _PRODUCT_5_TO_37) == 1)
+# Their product (2,139 bits).  Above TABLE_CAP, gcd(n, _AXIS_PRIMORIAL) is the
+# product of n's distinct primes up to WALK_LIMIT, so its least prime is n's
+# least factor.  The first pair, 5 and 7, is asked by two remainders before
+# the gcd: it holds the least factor of 31 % of the n coprime to 6, and the
+# two cost ~0.07 us on CPython 3.11.7 against ~0.6-1.4 us for the gcd.
+_AXIS_PRIMORIAL = prod(_AXIS_PRIMES)
 # Miller-Rabin bases, each set proven for every n below its bound that has
 # no prime factor <= 47.  Below 2**32 one base does it, chosen by a hash of n
 # from 256 (Forisek & Jancina, ITAT 2015); stored as 16-bit big-endian
@@ -113,7 +115,6 @@ _MR_BASE_SETS = (
                           1263739024124850375)),
     (2**64, (2, 325, 9375, 28178, 450775, 9780504, 1795265022)),
 )
-_PRODUCT_5_TO_47 = _PRODUCT_5_TO_37 * 41 * 43 * 47
 _RHO_BATCH = 128  # rho steps whose differences share one gcd
 # The Fermat stage tries a = ceil(sqrt(n)), ... for FERMAT_WINDOW values of a.
 # A divisor d <= s = sqrt(n) is met at a = (d + n / d) / 2, which falls as d
@@ -344,18 +345,13 @@ def _build(b: int) -> bytearray:
     value, each + 6t), from the first of each that falls in the block.  The
     primes go in descending order, so the least factor of each slot is
     written last.  Every axis prime up to the root of the block's largest n
-    is written, so each slot is exact.  The primes are listed once: those
-    below 41, then the axis values up to WALK_LIMIT < 41**2 coprime to them,
-    since every composite below 41**2 has a prime factor below 41.
+    is written, so each slot is exact.
     """
-    if not _axis_primes:
-        _axis_primes.extend(_PRIMES_5_TO_37)
-        _axis_primes.extend(p for p in range(41, WALK_LIMIT + 1, 2) if p % 3 and gcd(p, _PRODUCT_5_TO_37) == 1)
     lo = b << _BLOCK_BITS
     size = min(BLOCK_SLOTS, TABLE_CAP // 3 + 1 - lo)
     top = 3 * (lo + size) - 1  # the largest n with a slot in the block
     block = bytearray(size)
-    for p in reversed(_axis_primes):
+    for p in reversed(_AXIS_PRIMES):
         if p * p > top:
             continue
         mark = bytes([(p + 1) // 6])
@@ -381,16 +377,11 @@ def _least_prime(g: int) -> int:
     """Least prime of g > 1, a product of distinct axis primes up to WALK_LIMIT."""
     if g <= TABLE_CAP:
         return axis_divisor(g) or g  # one lookup
-    return _walk(g, range(5, WALK_LIMIT + 1, 6))  # two primes or more: at most 255 pairs
-
-
-def _walk(n: int, lows: range) -> int:
-    """Least divisor of n in the pairs (d, d + 2), d in lows; one of them holds one."""
-    for d in lows:
-        if n % d == 0:
-            return d
-        if n % (d + 2) == 0:
-            return d + 2
+    # three primes or more, since two distinct ones up to WALK_LIMIT multiply
+    # to at most TABLE_CAP: the first of _AXIS_PRIMES that divides g
+    for p in _AXIS_PRIMES:
+        if g % p == 0:
+            return p
 
 
 def _split(n: int) -> list[int]:
@@ -431,9 +422,9 @@ def _fermat(n: int, start: int = 0, stop: int = FERMAT_WINDOW) -> int | None:
     each a in the span whose a*a - n is a square modulo all of them, and
     those a go to isqrt in ascending order, so the first square is the
     first hit.  The hit of a prime n is a = (n + 1) / 2, at t = (n + 1) / 2
-    - ceil(sqrt(n)) >= 45,000 for every n >= 301**2 and > 10**6 for every
-    n > TABLE_CAP, the least that _split gives it: past any reach.  A
-    composite n's first hit is its largest divisor <= sqrt(n), above 1.
+    - ceil(sqrt(n)) > 10**6 for every n > TABLE_CAP, the least that _split
+    gives it: past any reach.  A composite n's first hit is its largest
+    divisor <= sqrt(n), above 1.
     """
     r64, r45, r77, r13 = _fermat_rows or _build_fermat_rows()
     r = isqrt(n)
@@ -468,17 +459,15 @@ def _build_fermat_rows() -> list[tuple[int, ...]]:
 
 
 def _is_prime_mr(n: int) -> bool:
-    """Deterministic Miller-Rabin for n >= 301**2 coprime to 6, below 2**64; _split asks it above TABLE_CAP.
+    """Deterministic Miller-Rabin for n below 2**64 with no prime factor <= 47.
 
+    The bases are proven only for such n, which is the caller's contract:
+    _split asks it of n > TABLE_CAP coprime to 6 and to _AXIS_PRIMORIAL.
     n passes a base a when a**d == 1 or a**(d * 2**i) == -1 (mod n) for some
-    i < s, where n - 1 = d * 2**s with d odd.  The bases are proven only for
-    n with no prime factor <= 47, so such an n is refused by a gcd first.
-    Below 2**32 one base, read off a hash of n, decides n; above it, the
-    set for n's size.  A base is taken mod n and skipped when that leaves it
-    below 2.
+    i < s, where n - 1 = d * 2**s with d odd.  Below 2**32 one base, read off
+    a hash of n, decides n; above it, the set for n's size.  A base is taken
+    mod n and skipped when that leaves it below 2.
     """
-    if gcd(n, _PRODUCT_5_TO_47) > 1:
-        return False
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s

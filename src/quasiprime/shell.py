@@ -3,7 +3,8 @@
 Subcommands: prime, factor, qgrid, wheel, verify, bench, density.  Every
 command renders text by default and JSON under --json.  Exit codes:
 0 success (quiet prime mode: 0 = prime, 1 = composite), 2 usage error,
-3 internal error.  Verify exits 1 when mismatches exist.
+3 internal error, 141 (128 + SIGPIPE) when stdout's reader has gone, as in
+`qprime ... | head -1`.  Verify exits 1 when mismatches exist.
 
 Each qprime process compiles what it imports, so a command loads only what
 it runs: the wheel emitter and the bench harness are modules of their own,
@@ -289,7 +290,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if hasattr(args, "limit"):  # wheel, verify, bench and density
             _check_env_cap(args.limit)
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # Point stdout at devnull, so that the flush at exit stays quiet too.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141  # 128 + SIGPIPE
     except ConsistencyError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3

@@ -137,7 +137,8 @@ class TestMillerRabin:
             assert not reference_is_prime_mr(n) and not qgrid._is_prime_mr(n), n
 
     def test_refuses_every_n_with_a_factor_up_to_47(self):
-        # the base tables are proven only for n with no such factor: a gcd refuses them first
+        # the base tables are proven only for n with no such factor, which _split never
+        # asks about; Miller-Rabin's own rounds still refuse these
         for q in PRIMES_5_TO_47:
             for m in (10**6 + 3, 10**9 + 7, 2**31 - 1, 4294967291, 3037000493, (10**6 + 3) * (10**6 + 33)):
                 assert not qgrid._is_prime_mr(q * m), (q, m)

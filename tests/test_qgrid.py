@@ -1,3 +1,4 @@
+import random
 from array import array
 from collections import Counter
 from math import gcd, isqrt, prod
@@ -259,41 +260,31 @@ class TestRegion:
 
 @pytest.fixture
 def walks(monkeypatch):
-    """Pairs (6k-1, 6k+1) visited by each axis walk, in call order.
-
-    No walk may pass the full walk at the crossover, so a walk that would
-    run on to sqrt(n) for a large n fails at once instead of taking minutes.
-    """
+    """For each gcd above TABLE_CAP whose least prime is asked, how many axis
+    primes the scan tried, in call order."""
     counts = []
-    walk = qgrid._walk
-    cap = (qgrid.WALK_LIMIT + 1) // 6
+    least_prime = qgrid._least_prime
 
-    def counted(n, lows):
-        index = len(counts)
-        counts.append(0)
+    def counted(g):
+        p = least_prime(g)
+        if g > qgrid.TABLE_CAP:
+            counts.append(qgrid._AXIS_PRIMES.index(p) + 1)
+        return p
 
-        def visit():
-            for d in lows:
-                counts[index] += 1
-                if counts[index] > cap:
-                    raise AssertionError(f"the walk for {n} passed {cap} pairs")
-                yield d
-
-        return walk(n, visit())
-
-    monkeypatch.setattr(qgrid, "_walk", counted)
+    monkeypatch.setattr(qgrid, "_least_prime", counted)
     return counts
 
 
 @pytest.fixture
 def fermats(monkeypatch):
-    """(n, result) of each Fermat stage call, in call order."""
+    """(n, range(start, stop), result) of each Fermat stage call, in call order:
+    the t of a = ceil(sqrt(n)) + t it tries, and the divisor it met or None."""
     calls = []
     fermat = qgrid._fermat
 
-    def counted(n, *args):
-        calls.append((n, fermat(n, *args)))
-        return calls[-1][1]
+    def counted(n, start=0, stop=qgrid.FERMAT_WINDOW):
+        calls.append((n, range(start, stop), fermat(n, start, stop)))
+        return calls[-1][2]
 
     monkeypatch.setattr(qgrid, "_fermat", counted)
     return calls
@@ -304,8 +295,8 @@ def stage_calls(monkeypatch):
     """Calls of Miller-Rabin ("mr"), the Fermat stage ("fermat") and rho ("rho"), counted by (stage, n).
 
     Every n that reaches Miller-Rabin has no prime factor <= 47, which its
-    base tables need, or is refused for one.  Every n that reaches _split,
-    which runs all three, has no prime factor the table can name.
+    base tables need.  Every n that reaches _split, which runs all three,
+    has no prime factor the table can name.
     """
     counts = Counter()
     split = qgrid._split
@@ -320,7 +311,7 @@ def stage_calls(monkeypatch):
             counts[stage, n] += 1
             result = run(n, *args)
             if stage == "mr":
-                assert free_of_47(n) or result is False, n
+                assert free_of_47(n), n
             return result
 
         monkeypatch.setattr(qgrid, name, counted)
@@ -340,24 +331,10 @@ def pow_calls(monkeypatch):
     return calls
 
 
-@pytest.fixture
-def fermat_spans(monkeypatch):
-    """(n, the t of a = ceil(sqrt(n)) + t it tries) of each Fermat stage call, in call order."""
-    spans = []
-    fermat = qgrid._fermat
-
-    def counted(n, start=0, stop=qgrid.FERMAT_WINDOW):
-        spans.append((n, range(start, stop)))
-        return fermat(n, start, stop)
-
-    monkeypatch.setattr(qgrid, "_fermat", counted)
-    return spans
-
-
 def assert_fermat_within_the_window(fermats, n, factors=()):
     """The Fermat stage ran on n, then on each of the factors it split off, and a hit on n lies within its window."""
-    assert [m for m, _ in fermats] == [n, *factors]
-    d = fermats[0][1]
+    assert [m for m, _, _ in fermats] == [n, *factors]
+    d = fermats[0][2]
     if d is not None:
         r = isqrt(n)
         ceil_root = r + (r * r < n)
@@ -393,7 +370,7 @@ class TestWalkWork:
     )
     def test_large_n_walks_the_short_span_only(self, walks, fermats, call, n, factors):
         call(n)
-        # n has no factor up to WALK_LIMIT, which one gcd shows: no pair is walked
+        # n has no factor up to WALK_LIMIT, which one gcd shows: no axis prime is scanned
         assert walks == []
         # the Fermat stage splits n, or leaves it to Miller-Rabin, on every path
         assert_fermat_within_the_window(fermats, n, factors)
@@ -451,7 +428,7 @@ class TestWalkWork:
         [(1009 * (10**9 + 7), 1009, 0, 0), (1000003 * 1000033, 1000003, 0, 1), (10**9 + 7, None, 1, 1)],
         ids=["small-times-large", "balanced", "prime"],
     )
-    def test_balanced_runs_miller_rabin_and_fermat_once_on_n(self, stage_calls, fermat_spans, n, largest, mr,
+    def test_balanced_runs_miller_rabin_and_fermat_once_on_n(self, stage_calls, fermats, n, largest, mr,
                                                              fermat):
         # A factor the table names settles n with neither stage; else a Fermat
         # hit in the window does, and on a miss Miller-Rabin decides it, and a
@@ -461,19 +438,19 @@ class TestWalkWork:
         assert (verdict.witness.axis_values[0] if largest else verdict.witness) == largest
         assert stage_calls["fermat", n] == fermat
         assert stage_calls["mr", n] == mr
-        spans = [t for m, t in fermat_spans if m == n]
+        spans = [t for m, t, _ in fermats if m == n]
         assert all(a.stop <= b.start for a, b in zip(spans, spans[1:]))
 
     @pytest.mark.parametrize("call", GRID_CALLS.values(), ids=GRID_CALLS.keys())
     @pytest.mark.parametrize(
         "factors, walked",
-        [([1009, 10**9 + 7], []), ([1531, 4294967291], []), ([1009, 1013, 1019, 10**9 + 7], [168])],
+        [([1009, 10**9 + 7], []), ([1531, 4294967291], []), ([1009, 1013, 1019, 10**9 + 7], [167])],
         ids=["1009", "1531", "gcd-above-the-cap"],
     )
     def test_a_factor_the_table_names_needs_no_stage_on_n(self, stage_calls, walks, call, factors, walked):
         # One gcd with the axis primorial holds n's primes up to WALK_LIMIT.
         # Up to TABLE_CAP the table names its least; 1009 * 1013 * 1019 lies
-        # above it, so a walk meets 1009 at the pair (1007, 1009), the 168th.
+        # above it, so a scan of the axis primes meets 1009, the 167th.
         # Neither the Fermat stage, Miller-Rabin nor rho runs on n; asc stops
         # there, and the other paths test the last factor, a prime, alone.
         n, prime = prod(factors), factors[-1]
@@ -483,6 +460,24 @@ class TestWalkWork:
         asc = call in (GRID_CALLS["is_prime-asc"], GRID_CALLS["factor_on_grid-asc"])
         assert stage_calls == ({} if asc else {("fermat", prime): 1, ("mr", prime): 1})
         assert qgrid.axis_divisor(n) == factors[0] and full_factorize(n) == factors
+
+    def test_the_scan_names_the_least_of_three_to_six_axis_primes(self):
+        # A gcd above TABLE_CAP holds three axis primes or more, coprime to 35
+        # once the remainders for 5 and 7 have run: seeded draws of 3 to 6 of
+        # them, and the three largest, whose least is the scan's last but two
+        primes = qgrid._AXIS_PRIMES[2:]
+        rng = random.Random(21)
+        draws = [primes[-3:]]
+        while len(draws) < 300:
+            chosen = rng.sample(primes, rng.randint(3, 6))
+            if prod(chosen) > qgrid.TABLE_CAP:
+                draws.append(chosen)
+        for chosen in draws:
+            g = prod(chosen)
+            assert qgrid._least_prime(g) == min(chosen), chosen
+            for m in (1, 6, 35, min(chosen), 1543, 10**6 + 3):  # 1543: the least prime above WALK_LIMIT
+                if g * m <= MAX_VALUE:
+                    assert full_factorize(g * m) == oracle.trial_factor(g * m), (chosen, m)
 
     @pytest.mark.parametrize("call", GRID_CALLS.values(), ids=GRID_CALLS.keys())
     def test_exact_work_at_the_top_of_the_domain(self, stage_calls, call):
@@ -506,10 +501,10 @@ class TestWalkWork:
         assert not any(stage == "rho" for stage, _ in stage_calls)
 
     @pytest.mark.parametrize("call", GRID_CALLS.values(), ids=GRID_CALLS.keys())
-    def test_the_stage_tries_at_most_the_reach_on_n(self, fermat_spans, call):
+    def test_the_stage_tries_at_most_the_reach_on_n(self, fermats, call):
         n = 1009 * (10**9 + 7)
         call(n)
-        assert sum(len(t) for m, t in fermat_spans if m == n) <= qgrid._reach(n)
+        assert sum(len(t) for m, t, _ in fermats if m == n) <= qgrid._reach(n)
 
     @pytest.mark.parametrize("call", GRID_CALLS.values(), ids=GRID_CALLS.keys())
     @pytest.mark.parametrize(
@@ -639,12 +634,10 @@ class TestLeastFactorTable:
         qgrid.axis_divisor(above)  # above the cap: no table
         assert built_blocks() == [0, last]
 
-    def test_the_prime_list_holds_exactly_the_axis_primes(self, monkeypatch):
+    def test_the_prime_list_holds_exactly_the_axis_primes(self):
         sympy = pytest.importorskip("sympy")
-        monkeypatch.setattr(qgrid, "_axis_primes", [])  # listed afresh by the next build
-        qgrid.axis_divisor(91)
         # no composite axis value below 41, such as 25 or 35, slips in
-        assert qgrid._axis_primes == list(sympy.primerange(5, qgrid.WALK_LIMIT + 1))
+        assert qgrid._AXIS_PRIMES == tuple(sympy.primerange(5, qgrid.WALK_LIMIT + 1))
 
     def test_pair_indices_fit_a_byte(self):
         for b in range(len(qgrid._blocks)):

@@ -2,6 +2,10 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,6 +15,8 @@ from quasiprime import pipeline, shell
 from quasiprime.errors import ConsistencyError, ResourceLimitError
 from quasiprime.pipeline import PrimalityVerdict, SearchStrategy, VerdictKind
 from quasiprime.shell import WheelRender, bench, build_wheel_render, emit_wheel_svg, main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -334,6 +340,27 @@ class TestUsageAndCaps:
     def test_bad_env_cap_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv(shell.MAX_LIMIT_ENV, "soon")
         assert run(capsys, "density", "--limit", "900")[0] == 2
+
+    # A stdout whose reader has gone, as in `qprime ... | head -1`, in a fresh
+    # process: the write fails with EPIPE, at once when stdout is unbuffered,
+    # else at the flush.  That is exit 141 (128 + SIGPIPE), with nothing on
+    # stderr and no traceback at exit.
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize(
+        "argv", [["prime", "97"], ["factor", "360", "--json"], ["density", "--limit", "1000"]],
+        ids=["prime", "factor", "density"],
+    )
+    def test_a_closed_stdout_exits_141_quietly(self, argv, unbuffered):
+        env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONUNBUFFERED": unbuffered}
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "quasiprime", *argv], stdout=write, stderr=subprocess.PIPE, env=env
+            )
+        finally:
+            os.close(write)
+        assert (result.returncode, result.stderr) == (141, b"")
 
     # What each help text must name: its options, positionals, choices and
     # metavars, written out here rather than read off the parser.
