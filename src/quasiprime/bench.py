@@ -9,7 +9,7 @@ import time
 from collections import namedtuple
 
 from . import oracle, pipeline
-from .errors import ConsistencyError, ResourceLimitError
+from .errors import ConsistencyError, require_limit
 
 BENCH_LIMIT_CAP = 10**7
 
@@ -37,10 +37,7 @@ class BenchReport(
 
 def bench(limit: int) -> BenchReport:
     """Time staged primality and trial division over [2, limit]."""
-    if limit > BENCH_LIMIT_CAP:
-        raise ResourceLimitError(f"bench limit {limit} exceeds cap {BENCH_LIMIT_CAP}")
-    if limit < 100:
-        raise ValueError(f"bench needs limit >= 100, got {limit}")
+    require_limit(limit, "bench limit", 100, BENCH_LIMIT_CAP)
 
     is_prime = pipeline.is_prime
     t0 = time.perf_counter()

@@ -10,7 +10,7 @@ from collections import namedtuple
 from enum import Enum
 from math import gcd
 
-from .errors import require_int
+from .errors import require_int, require_limit
 
 __all__ = ["TripletClass", "WheelConfig", "admissible_moduli", "digital_root", "dr_add", "dr_mul",
            "fibonacci_dr_cycle", "modulus_of", "prime_moduli", "triplet_class"]
@@ -115,10 +115,7 @@ class WheelConfig(namedtuple("WheelConfig", "sides rings")):
 
     def __new__(cls, sides: int, rings: int):
         _check_sides(sides)
-        if type(rings) is not int:
-            require_int(rings, "rings")
-        if rings < 1:
-            raise ValueError(f"rings must be positive, got {rings}")
+        require_limit(rings, "rings", 1)
         return tuple.__new__(cls, (sides, rings))
 
     @property

@@ -3,7 +3,8 @@
 Everything here is deliberately boring.  The staged pipeline is validated
 against this module, so nothing in it may depend on the wheel, grid, or
 digital-root machinery: it shares only the exception types and the int
-guard of errors, which refuses a float or bool n in every public check.
+and size guards of errors, which refuse a float or bool in every public
+check.
 verify_range asks the pipeline once per n and compares its answers with
 the sieve a block of n at a time, as bytes.
 """
@@ -15,7 +16,7 @@ from collections.abc import Callable, Iterable
 from itertools import compress
 from math import isqrt
 
-from .errors import ResourceLimitError, require_int
+from .errors import require_int, require_limit
 
 SIEVE_LIMIT_CAP = 10**8
 VERIFY_LIMIT_CAP = 10**7
@@ -60,11 +61,7 @@ class PrimeTable:
 
 def sieve(limit: int) -> PrimeTable:
     """Sieve of Eratosthenes over the odd numbers up to ``limit``."""
-    require_int(limit, "sieve limit")
-    if limit < 2:
-        raise ValueError("sieve limit must be at least 2")
-    if limit > SIEVE_LIMIT_CAP:
-        raise ResourceLimitError(f"sieve limit {limit} exceeds cap {SIEVE_LIMIT_CAP}")
+    require_limit(limit, "sieve limit", 2, SIEVE_LIMIT_CAP)
     odd = bytearray([1]) * ((limit + 1) // 2)  # index i <-> n = 2i+1, up to limit
     odd[0] = 0  # 1 is not prime
     for p in range(3, isqrt(limit) + 1, 2):
@@ -173,14 +170,8 @@ def verify_range(
     """
     from . import pipeline  # deferred: the oracle must not depend on it at import time
 
-    require_int(limit, "verify limit")
-    require_int(factor_stride, "factor stride")
-    if limit > VERIFY_LIMIT_CAP:
-        raise ResourceLimitError(f"verify limit {limit} exceeds cap {VERIFY_LIMIT_CAP}")
-    if limit < 2:
-        raise ValueError("verify limit must be at least 2")
-    if factor_stride < 0:
-        raise ValueError(f"factor stride must be >= 0, got {factor_stride}")
+    require_limit(limit, "verify limit", 2, VERIFY_LIMIT_CAP)
+    require_limit(factor_stride, "factor stride", 0)
     if strategy is None:
         strategy = pipeline.SearchStrategy.ASCENDING_SCAN
     else:

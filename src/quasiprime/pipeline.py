@@ -8,22 +8,8 @@ on n mod 360 alone.  A 360-row table built at import holds both.  The
 prime-modulus stage never fires, since odd and free of 3 already puts n
 on a 6k±1 spoke, so the table is built from the other three stages; the
 fourth stays in the reports as an always-0 count.
-Survivors go to the grid stage, which settles primality exactly.  Up to
-qgrid.TABLE_CAP = 2,347,023, isqrt(n) = qgrid.WALK_LIMIT = 1531, a
-one-byte least-axis-factor table over the 6k±1 slots does it without
-trial division: one lookup gives the least factor, and the balanced pair
-comes from the factors it gives.  The table is built in blocks, each on
-the first lookup that touches it, so a one-shot call pays for one block.
-Above the cap, one gcd with the product of the axis primes up to
-WALK_LIMIT gives n's primes that the table can name, and one lookup the
-least of them.  An n with none meets one order: the window of a bounded
-Fermat stage, whose first hit is n's largest divisor <= sqrt(n); on a
-miss, deterministic Miller-Rabin, exact on the whole 64-bit domain on one
-to seven proven bases, decides primality; and the Fermat stage on the
-rest of its reach, else Pollard-Brent rho, splits a composite.  asc takes the
-least prime factor, and balanced reads the pair nearest the reflection
-line off the prime factors.  Miller-Rabin runs at most once on n, and the
-Fermat stage tries no value of a twice.  One guard, require_strategy,
+Survivors go to the grid stage, which settles primality exactly in the
+order that qgrid's docstring sets out.  One guard, require_strategy,
 refuses a strategy that is not a SearchStrategy member.
 The last-digit and digital-root pair tables are tested facts about factor
 pairs, not filters on the grid search.
@@ -35,7 +21,7 @@ from collections import namedtuple
 from enum import Enum
 
 from . import qgrid
-from .errors import NoFactorsError, NotQuasiPrimeError, require_int
+from .errors import NoFactorsError, NotQuasiPrimeError, require_int, require_limit
 from .numerics import digital_root
 from .qgrid import MAX_VALUE, GridCoordinate, require_in_cap
 
@@ -292,9 +278,7 @@ def survivor_density(limit: int) -> DensityReport:
     the counts come from the stage table in closed form: limit // 360 full
     periods of it, plus its rows 1..limit % 360 for the last, partial one.
     """
-    require_int(limit, "density limit")
-    if limit < 100:
-        raise ValueError(f"density needs limit >= 100, got {limit}")
+    require_limit(limit, "density limit", 100)
     global _Fraction
     if _Fraction is None:
         from fractions import Fraction as _Fraction

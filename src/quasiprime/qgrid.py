@@ -7,13 +7,13 @@ composites coprime to 6, so membership decides primality for any
 number on the prime moduli.
 
 Membership is exact, never probabilistic.  Up to TABLE_CAP, the n with
-isqrt(n) <= WALK_LIMIT, the grid is materialized as a least-axis-factor
+isqrt(n) <= AXIS_PRIME_MAX, the grid is materialized as a least-axis-factor
 table: slot n // 3 of each n coprime to 6 holds the (6k-1, 6k+1) pair of
 n's least prime factor, so a lookup replaces trial division.  It is the
 least-prime-factor sieve (Gries & Misra, CACM 1978) restricted to the
 wheel's 6k±1 slots (Pritchard, CACM 1981), built block by block on first
 touch, as in the segmented sieve (Bays & Hudson, BIT 1977).  Above the
-cap, one gcd with the product of the axis primes up to WALK_LIMIT gives
+cap, one gcd with the product of the axis primes up to AXIS_PRIME_MAX gives
 the product of n's primes that the table can name, and the table (or, for
 a gcd above the cap, a scan of those primes) names the least of them.  An
 n with none goes to one order, the same for both strategies.  A bounded
@@ -35,7 +35,7 @@ from collections import namedtuple
 from enum import Enum
 from math import gcd, isqrt, prod
 
-from .errors import NotOnPrimeModuliError, ResourceLimitError, require_int
+from .errors import NotOnPrimeModuliError, ResourceLimitError, require_int, require_limit
 from .numerics import digital_root
 
 __all__ = ["GridCoordinate", "QuasiPrimeTag", "axis_index", "axis_value", "contains",
@@ -43,11 +43,11 @@ __all__ = ["GridCoordinate", "QuasiPrimeTag", "axis_index", "axis_value", "conta
 
 MAX_VALUE = 2**63 - 1  # the input cap of every entry point that takes an n
 REGION_CELL_CAP = 10**4
-# n with isqrt(n) <= WALK_LIMIT read the table.  Above it, a gcd with
+# n with isqrt(n) <= AXIS_PRIME_MAX read the table.  Above it, a gcd with
 # _AXIS_PRIMORIAL and a lookup give n's least factor when the table names it;
-# an n with no prime factor up to WALK_LIMIT goes to the Fermat stage's window,
+# an n with no prime factor up to AXIS_PRIME_MAX goes to the Fermat stage's window,
 # Miller-Rabin, the rest of the stage's reach and rho.  A table byte holds the
-# pair index k <= 255 of a least factor 6k-1 or 6k+1, so WALK_LIMIT is the
+# pair index k <= 255 of a least factor 6k-1 or 6k+1, so AXIS_PRIME_MAX is the
 # largest axis prime with k <= 255, 1531 = 6 * 255 + 1 (no axis prime lies in
 # (1531, 1543)).  The byte, not the cost, sets it.  Per call on CPython 3.11.7
 # (2-core VM, CPU time, best of 7 over 60 n of each class, both strategies,
@@ -58,8 +58,8 @@ REGION_CELL_CAP = 10**4
 #   random      1.1-3.2 us (table)               2.7-5.3 us (gcd, lookup, MR, rho)
 #   prime       0.7 us                           5.8-6.3 us
 #   semiprime   1.0-1.4 us                       2.7-3.6 us
-WALK_LIMIT = 1531
-TABLE_CAP = (WALK_LIMIT + 1) ** 2 - 1
+AXIS_PRIME_MAX = 1531
+TABLE_CAP = (AXIS_PRIME_MAX + 1) ** 2 - 1
 # Slot n // 3 of each n coprime to 6 holds k for n's least prime factor 6k-1 or
 # 6k+1, and 0 when n is 1 or prime.  The slots come in blocks of BLOCK_SLOTS:
 # slot i is _blocks[i >> _BLOCK_BITS][i & _BLOCK_MASK], and a block is None
@@ -76,13 +76,13 @@ _BLOCK_MASK = BLOCK_SLOTS - 1
 _blocks: list[bytearray | None] = [None] * -(-(TABLE_CAP // 3 + 1) // BLOCK_SLOTS)
 _PRIMES_5_TO_37 = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37)  # the axis primes below 41
 _PRODUCT_5_TO_37 = prod(_PRIMES_5_TO_37)
-# The axis primes up to WALK_LIMIT, 5 ... 1531, ascending: those below 41,
-# then the axis values up to WALK_LIMIT < 41**2 coprime to them, since every
+# The axis primes up to AXIS_PRIME_MAX, 5 ... 1531, ascending: those below 41,
+# then the axis values up to AXIS_PRIME_MAX < 41**2 coprime to them, since every
 # composite below 41**2 has a prime factor below 41.  Built once, at import.
 _AXIS_PRIMES = _PRIMES_5_TO_37 + tuple(
-    v for v in range(41, WALK_LIMIT + 1, 2) if v % 3 and gcd(v, _PRODUCT_5_TO_37) == 1)
+    v for v in range(41, AXIS_PRIME_MAX + 1, 2) if v % 3 and gcd(v, _PRODUCT_5_TO_37) == 1)
 # Their product (2,139 bits).  Above TABLE_CAP, gcd(n, _AXIS_PRIMORIAL) is the
-# product of n's distinct primes up to WALK_LIMIT, so its least prime is n's
+# product of n's distinct primes up to AXIS_PRIME_MAX, so its least prime is n's
 # least factor.  The first pair, 5 and 7, is asked by two remainders before
 # the gcd: it holds the least factor of 31 % of the n coprime to 6, and the
 # two cost ~0.07 us on CPython 3.11.7 against ~0.6-1.4 us for the gcd.
@@ -315,7 +315,7 @@ def axis_factors(n: int) -> list[int]:
     """Prime factors of n, ascending; n must be coprime to 6.
 
     Up to TABLE_CAP each factor is one table lookup.  Above it each one up
-    to WALK_LIMIT is the least prime of a gcd with _AXIS_PRIMORIAL, and the
+    to AXIS_PRIME_MAX is the least prime of a gcd with _AXIS_PRIMORIAL, and the
     Fermat stage, Miller-Rabin and rho factor what has none.
     """
     factors: list[int] = []
@@ -374,10 +374,10 @@ def _largest_divisor(factors: list[int], r: int) -> int:
 
 
 def _least_prime(g: int) -> int:
-    """Least prime of g > 1, a product of distinct axis primes up to WALK_LIMIT."""
+    """Least prime of g > 1, a product of distinct axis primes up to AXIS_PRIME_MAX."""
     if g <= TABLE_CAP:
         return axis_divisor(g) or g  # one lookup
-    # three primes or more, since two distinct ones up to WALK_LIMIT multiply
+    # three primes or more, since two distinct ones up to AXIS_PRIME_MAX multiply
     # to at most TABLE_CAP: the first of _AXIS_PRIMES that divides g
     for p in _AXIS_PRIMES:
         if g % p == 0:
@@ -385,7 +385,7 @@ def _least_prime(g: int) -> int:
 
 
 def _split(n: int) -> list[int]:
-    """Prime factors of n > 1, unordered; n has none up to WALK_LIMIT.
+    """Prime factors of n > 1, unordered; n has none up to AXIS_PRIME_MAX.
 
     So n is prime when n <= TABLE_CAP.  Above that the Fermat
     stage's window runs first, since a prime never hits it and a hit splits
@@ -555,11 +555,7 @@ def diagonal_dr(count: int) -> list[int]:
 
     A diagonal is cells of the grid, so count is capped like a region.
     """
-    require_int(count, "count")
-    if count < 1:
-        raise ValueError(f"count must be positive, got {count}")
-    if count > REGION_CELL_CAP:
-        raise ResourceLimitError(f"diagonal of {count} cells exceeds cap {REGION_CELL_CAP}")
+    require_limit(count, "count", 1, REGION_CELL_CAP)
     return [digital_root(grid_value(k, k)) for k in range(1, count + 1)]
 
 

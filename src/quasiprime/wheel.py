@@ -9,7 +9,7 @@ import math
 from collections import namedtuple
 
 from . import oracle
-from .errors import ConsistencyError, ResourceLimitError
+from .errors import ConsistencyError, require_limit
 from .numerics import modulus_of, prime_moduli
 
 WHEEL_LIMIT_CAP = 10**4
@@ -32,10 +32,7 @@ def build_wheel_render(sides: int, limit: int) -> WheelRender:
     above 3 sits off the highlighted spokes.
     """
     highlighted = prime_moduli(sides)
-    if limit < 1:
-        raise ValueError(f"wheel limit must be positive, got {limit}")
-    if limit > WHEEL_LIMIT_CAP:
-        raise ResourceLimitError(f"wheel limit {limit} exceeds render cap {WHEEL_LIMIT_CAP}")
+    require_limit(limit, "wheel limit", 1, WHEEL_LIMIT_CAP)
     report = oracle.verify_range(max(limit, 2), factor_stride=0)
     if report.mismatches:
         raise ConsistencyError(f"pipeline and sieve disagree at {report.mismatches[0][0]}")

@@ -1,4 +1,4 @@
-"""The verdicts above the walk's crossover, against sympy as an independent oracle.
+"""The verdicts above the table cap, against sympy as an independent oracle.
 
 Up to 10**7 the in-repo sieve is the ground truth; beyond it these tests
 compare with sympy, which the package itself never imports.
@@ -84,8 +84,8 @@ def primes_around(bound):
 
 @pytest.mark.parametrize(
     "bound",
-    [300, qgrid.WALK_LIMIT, isqrt(qgrid.MAX_VALUE)],  # 300: where the walk above the cap used to stop
-    ids=["SMALL_SPAN", "WALK_LIMIT", "isqrt(MAX_VALUE)"],
+    [300, qgrid.AXIS_PRIME_MAX, isqrt(qgrid.MAX_VALUE)],  # 300: where the walk above the cap used to stop
+    ids=["SMALL_SPAN", "AXIS_PRIME_MAX", "isqrt(MAX_VALUE)"],
 )
 def test_powers_and_products_around_each_bound(bound):
     primes = primes_around(bound)
@@ -107,7 +107,7 @@ def test_least_factor_around_the_small_span():
 
 
 # the axis primes the table names above the old walk's last one, 293, or a product of two or three of them
-table_primes = st.lists(st.sampled_from(list(sympy.primerange(294, qgrid.WALK_LIMIT + 1))), min_size=1, max_size=3)
+table_primes = st.lists(st.sampled_from(list(sympy.primerange(294, qgrid.AXIS_PRIME_MAX + 1))), min_size=1, max_size=3)
 
 
 @given(table_primes.map(prod).flatmap(lambda p: st.tuples(st.just(p), st.integers(1, qgrid.MAX_VALUE // p))))
@@ -208,8 +208,8 @@ def test_products_at_the_edge_of_the_reach(size):
 
 
 def test_the_axis_primorial_is_the_product_of_the_primes_the_table_names():
-    # a gcd with it is the product of n's distinct primes from 5 to WALK_LIMIT
-    assert qgrid._AXIS_PRIMORIAL == prod(sympy.primerange(5, qgrid.WALK_LIMIT + 1))
+    # a gcd with it is the product of n's distinct primes from 5 to AXIS_PRIME_MAX
+    assert qgrid._AXIS_PRIMORIAL == prod(sympy.primerange(5, qgrid.AXIS_PRIME_MAX + 1))
 
 
 def test_the_stage_covers_the_walk_it_replaced():

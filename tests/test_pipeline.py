@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasiprime import oracle
+from quasiprime import oracle, pipeline
+from quasiprime.bench import BENCH_LIMIT_CAP, bench
 from quasiprime.errors import NoFactorsError, NotQuasiPrimeError, ResourceLimitError
 from quasiprime.numerics import WheelConfig, digital_root, dr_mul, modulus_of, prime_moduli
 from quasiprime.pipeline import (
@@ -24,6 +25,7 @@ from quasiprime.pipeline import (
     survivor_density,
 )
 from quasiprime.qgrid import (
+    REGION_CELL_CAP,
     GridCoordinate,
     axis_index,
     axis_value,
@@ -32,6 +34,7 @@ from quasiprime.qgrid import (
     grid_value,
     region,
 )
+from quasiprime.wheel import WHEEL_LIMIT_CAP, build_wheel_render
 
 ASC = SearchStrategy.ASCENDING_SCAN
 BAL = SearchStrategy.BALANCED_FIRST
@@ -318,12 +321,58 @@ def table_is_prime(n):
         pytest.param(oracle.trial_factor, (True,), id="trial_factor-bool"),
         pytest.param(table_is_prime, (7.0,), id="PrimeTable.is_prime"),
         pytest.param(table_is_prime, (True,), id="PrimeTable.is_prime-bool"),
+        pytest.param(bench, (100.0,), id="bench"),
+        pytest.param(bench, (True,), id="bench-bool"),
+        pytest.param(build_wheel_render, (24, 100.0), id="build_wheel_render"),
+        pytest.param(build_wheel_render, (24, True), id="build_wheel_render-bool"),
     ],
 )
 def test_non_int_input_is_a_type_error(fn, args):
     bad = next(a for a in args if type(a) is not int)
     with pytest.raises(TypeError, match=type(bad).__name__):
         fn(*args)
+
+
+@pytest.mark.parametrize(
+    "call, what, least, cap",
+    [
+        pytest.param(oracle.sieve, "sieve limit", 2, oracle.SIEVE_LIMIT_CAP, id="sieve"),
+        pytest.param(oracle.verify_range, "verify limit", 2, oracle.VERIFY_LIMIT_CAP, id="verify_range"),
+        pytest.param(lambda s: verify_with_stride(100, s), "factor stride", 0, None,
+                     id="verify_range-factor_stride"),
+        pytest.param(lambda limit: build_wheel_render(24, limit), "wheel limit", 1, WHEEL_LIMIT_CAP,
+                     id="build_wheel_render"),
+        pytest.param(bench, "bench limit", 100, BENCH_LIMIT_CAP, id="bench"),
+        pytest.param(survivor_density, "density limit", 100, None, id="survivor_density"),
+        pytest.param(diagonal_dr, "count", 1, REGION_CELL_CAP, id="diagonal_dr"),
+        pytest.param(lambda rings: WheelConfig(24, rings), "rings", 1, None, id="WheelConfig-rings"),
+    ],
+)
+def test_every_size_argument_is_refused_alike(call, what, least, cap):
+    with pytest.raises(TypeError) as refused:
+        call(float(least))
+    assert str(refused.value) == f"{what} must be an int, got float"
+    with pytest.raises(ValueError) as refused:
+        call(least - 1)
+    assert type(refused.value) is ValueError
+    assert str(refused.value) == f"{what} must be at least {least}, got {least - 1}"
+    if cap is not None:
+        with pytest.raises(ResourceLimitError) as refused:
+            call(cap + 1)
+        assert str(refused.value) == f"{what} {cap + 1} exceeds cap {cap}"
+
+
+@pytest.mark.parametrize(
+    "call", [lambda: bench(True), lambda: build_wheel_render(24, True)], ids=["bench", "build_wheel_render"]
+)
+def test_a_bool_limit_is_refused_before_any_work(monkeypatch, call):
+    def no_work(*args):
+        raise AssertionError("work started before the limit was checked")
+
+    monkeypatch.setattr(oracle, "sieve", no_work)
+    monkeypatch.setattr(pipeline, "is_prime", no_work)
+    with pytest.raises(TypeError, match="limit must be an int, got bool"):
+        call()
 
 
 @pytest.mark.parametrize(

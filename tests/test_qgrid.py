@@ -154,7 +154,7 @@ class TestContains:
             contains(2**63)
 
     def test_unchecked_cell_equals_the_checked_one(self):
-        # the walk's witness cell skips the constructor's checks; it must
+        # the grid search's witness cell skips the constructor's checks; it must
         # still be the cell GridCoordinate builds and accepts
         for n in range(25, 6000):
             if n % 6 not in (1, 5):
@@ -259,7 +259,7 @@ class TestRegion:
 
 
 @pytest.fixture
-def walks(monkeypatch):
+def scans(monkeypatch):
     """For each gcd above TABLE_CAP whose least prime is asked, how many axis
     primes the scan tried, in call order."""
     counts = []
@@ -359,7 +359,7 @@ GRID_CALLS = {
 }
 
 
-class TestWalkWork:
+class TestStageWork:
     """Deterministic work counts, not wall clock, pin each path's cost."""
 
     @pytest.mark.parametrize("call", GRID_CALLS.values(), ids=GRID_CALLS.keys())
@@ -368,37 +368,37 @@ class TestWalkWork:
         [(2**63 - 25, []), (3037000453 * 3037000493, [3037000453, 3037000493])],
         ids=["largest-prime", "largest-balanced-semiprime"],
     )
-    def test_large_n_walks_the_short_span_only(self, walks, fermats, call, n, factors):
+    def test_large_n_scans_no_axis_prime(self, scans, fermats, call, n, factors):
         call(n)
-        # n has no factor up to WALK_LIMIT, which one gcd shows: no axis prime is scanned
-        assert walks == []
+        # n has no factor up to AXIS_PRIME_MAX, which one gcd shows: no axis prime is scanned
+        assert scans == []
         # the Fermat stage splits n, or leaves it to Miller-Rabin, on every path
         assert_fermat_within_the_window(fermats, n, factors)
 
     @pytest.mark.parametrize("call", GRID_CALLS.values(), ids=GRID_CALLS.keys())
     @pytest.mark.usefixtures("fresh_table")
-    def test_prime_at_the_crossover_walks_every_pair(self, walks, call):
-        limit = qgrid.WALK_LIMIT
+    def test_prime_at_the_cap_builds_one_block(self, scans, call):
+        limit = qgrid.AXIS_PRIME_MAX
         n = max(p for p in range(limit * limit, (limit + 1) ** 2) if oracle.trial_is_prime(p))
         call(n)
-        # every pair whose 6k-1 is at most WALK_LIMIT is sieved into the table,
-        # so none is walked, and a first call builds the one block holding n
-        assert walks == []
+        # every pair whose 6k-1 is at most AXIS_PRIME_MAX is sieved into the table,
+        # so no axis prime is scanned, and a first call builds the one block holding n
+        assert scans == []
         assert n <= qgrid.TABLE_CAP and built_blocks() == [n // 3 // qgrid.BLOCK_SLOTS]
 
     @pytest.mark.parametrize("call", GRID_CALLS.values(), ids=GRID_CALLS.keys())
     @pytest.mark.parametrize("n", [5 * 7 * 7 * 11 * 13 * 17], ids=["composite-below-the-cap"])
-    def test_up_to_the_cap_walks_no_pair(self, walks, call, n):
+    def test_up_to_the_cap_scans_no_axis_prime(self, scans, call, n):
         # the table answers every path there, the balanced divisor set included
         call(n)
-        assert walks == []
+        assert scans == []
 
     @pytest.mark.parametrize("call", GRID_CALLS.values(), ids=GRID_CALLS.keys())
-    def test_prime_past_the_crossover_walks_the_short_span(self, walks, fermats, call):
-        limit = qgrid.WALK_LIMIT + 1
+    def test_prime_past_the_cap_runs_the_window_once(self, scans, fermats, call):
+        limit = qgrid.AXIS_PRIME_MAX + 1
         n = min(p for p in range(limit * limit, (limit + 1) ** 2) if oracle.trial_is_prime(p))
         call(n)
-        assert walks == []
+        assert scans == []
         assert_fermat_within_the_window(fermats, n)
 
     @pytest.mark.parametrize(
@@ -443,12 +443,12 @@ class TestWalkWork:
 
     @pytest.mark.parametrize("call", GRID_CALLS.values(), ids=GRID_CALLS.keys())
     @pytest.mark.parametrize(
-        "factors, walked",
+        "factors, scanned",
         [([1009, 10**9 + 7], []), ([1531, 4294967291], []), ([1009, 1013, 1019, 10**9 + 7], [167])],
         ids=["1009", "1531", "gcd-above-the-cap"],
     )
-    def test_a_factor_the_table_names_needs_no_stage_on_n(self, stage_calls, walks, call, factors, walked):
-        # One gcd with the axis primorial holds n's primes up to WALK_LIMIT.
+    def test_a_factor_the_table_names_needs_no_stage_on_n(self, stage_calls, scans, call, factors, scanned):
+        # One gcd with the axis primorial holds n's primes up to AXIS_PRIME_MAX.
         # Up to TABLE_CAP the table names its least; 1009 * 1013 * 1019 lies
         # above it, so a scan of the axis primes meets 1009, the 167th.
         # Neither the Fermat stage, Miller-Rabin nor rho runs on n; asc stops
@@ -456,7 +456,7 @@ class TestWalkWork:
         n, prime = prod(factors), factors[-1]
         assert n > qgrid.TABLE_CAP
         call(n)
-        assert walks == walked
+        assert scans == scanned
         asc = call in (GRID_CALLS["is_prime-asc"], GRID_CALLS["factor_on_grid-asc"])
         assert stage_calls == ({} if asc else {("fermat", prime): 1, ("mr", prime): 1})
         assert qgrid.axis_divisor(n) == factors[0] and full_factorize(n) == factors
@@ -475,7 +475,7 @@ class TestWalkWork:
         for chosen in draws:
             g = prod(chosen)
             assert qgrid._least_prime(g) == min(chosen), chosen
-            for m in (1, 6, 35, min(chosen), 1543, 10**6 + 3):  # 1543: the least prime above WALK_LIMIT
+            for m in (1, 6, 35, min(chosen), 1543, 10**6 + 3):  # 1543: the least prime above AXIS_PRIME_MAX
                 if g * m <= MAX_VALUE:
                     assert full_factorize(g * m) == oracle.trial_factor(g * m), (chosen, m)
 
@@ -580,9 +580,9 @@ def axis_prime_products(limit):
 BLOCK_BOUNDS = [3 * b * qgrid.BLOCK_SLOTS for b in range(1, len(qgrid._blocks))]
 BLOCK_BOUNDS += [qgrid.TABLE_CAP, qgrid.TABLE_CAP + 1]
 # Where a single table grown by powers of two used to stop, and its cap at
-# WALK_LIMIT = 800: inside blocks now.
+# AXIS_PRIME_MAX = 800: inside blocks now.
 FORMER_BOUNDS = [2**k + e for k in range(10, 20) for e in (0, 1)] + [641600, 641601]
-AXIS_PRIME_PRODUCTS = axis_prime_products(qgrid.WALK_LIMIT) + axis_prime_products(800)
+AXIS_PRIME_PRODUCTS = axis_prime_products(qgrid.AXIS_PRIME_MAX) + axis_prime_products(800)
 BOUNDS = BLOCK_BOUNDS + FORMER_BOUNDS + AXIS_PRIME_PRODUCTS
 
 
@@ -637,15 +637,15 @@ class TestLeastFactorTable:
     def test_the_prime_list_holds_exactly_the_axis_primes(self):
         sympy = pytest.importorskip("sympy")
         # no composite axis value below 41, such as 25 or 35, slips in
-        assert qgrid._AXIS_PRIMES == tuple(sympy.primerange(5, qgrid.WALK_LIMIT + 1))
+        assert qgrid._AXIS_PRIMES == tuple(sympy.primerange(5, qgrid.AXIS_PRIME_MAX + 1))
 
     def test_pair_indices_fit_a_byte(self):
         for b in range(len(qgrid._blocks)):
             qgrid.axis_divisor(3 * b * qgrid.BLOCK_SLOTS + 1)  # the n of the block's first slot
         assert built_blocks() == list(range(len(qgrid._blocks)))
         assert sum(map(len, qgrid._blocks)) == qgrid.TABLE_CAP // 3 + 1
-        # the largest pair written is WALK_LIMIT's, the last a byte holds
-        assert max(map(max, qgrid._blocks)) == (qgrid.WALK_LIMIT + 1) // 6 == 255
+        # the largest pair written is AXIS_PRIME_MAX's, the last a byte holds
+        assert max(map(max, qgrid._blocks)) == (qgrid.AXIS_PRIME_MAX + 1) // 6 == 255
 
 
 def test_max_value_is_64_bit_cap():

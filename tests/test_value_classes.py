@@ -80,7 +80,7 @@ class TestFrozen:
             (FactorPair, (1, 5), r"need 5 <= a <= b, got \(1, 5\)"),
             (FactorPair, (5, 9), r"factor pair \(5, 9\) is off the 6k±1 moduli"),
             (WheelConfig, (10, 2), "wheel sides must be a positive multiple of 6, got 10"),
-            (WheelConfig, (24, 0), "rings must be positive, got 0"),
+            (WheelConfig, (24, 0), "rings must be at least 1, got 0"),
         ],
     )
     def test_validation_errors(self, cls, args, message):
