@@ -61,6 +61,7 @@ _INVALID = VerdictKind.INVALID
 _GRID_SEARCH = Stage.GRID_SEARCH
 _ASCENDING_SCAN = SearchStrategy.ASCENDING_SCAN
 _BALANCED_FIRST = SearchStrategy.BALANCED_FIRST
+_new = tuple.__new__
 
 
 def require_strategy(strategy: object) -> None:
@@ -160,10 +161,12 @@ def _stage_row(m: int) -> tuple[Stage | None, int | None]:
     return None, None
 
 
-# fractions.Fraction, imported by the first density report rather than at
-# import: fractions loads decimal, which no verdict needs.  A global, since an
-# import statement in the call costs far more than its lookup.
+# fractions.Fraction and the running counts of the stage table, both set by
+# the first density report rather than at import: fractions loads decimal,
+# which no verdict needs.  Globals, since an import statement in the call
+# costs far more than its lookup.
 _Fraction = None
+_COUNTS_TO = None
 
 # Row r serves every n = r (mod 360); 360 stands in for residue 0, since the
 # digital root is defined for positive integers only.
@@ -218,19 +221,19 @@ def is_prime(n: int, strategy: SearchStrategy = SearchStrategy.ASCENDING_SCAN) -
         require_strategy(strategy)
     if n > MAX_VALUE:  # the guard is called only to raise
         require_in_cap(n)
-    # PrimalityVerdict's constructor checks nothing, so tuple.__new__ builds
-    # the same verdict without its keyword-argument handling.
+    # PrimalityVerdict's constructor checks nothing, so tuple.__new__ (_new)
+    # builds the same verdict without its keyword-argument handling.
     if n < 4:
         kind = _INVALID if n < 2 else _PRIME_SPECIAL_SMALL
-        return tuple.__new__(PrimalityVerdict, (n, kind, None, None, strategy))
+        return _new(PrimalityVerdict, (n, kind, None, None, strategy))
     stage, witness = _STAGE_AT[n % 360]
     if witness is not None:
-        return tuple.__new__(PrimalityVerdict, (n, _COMPOSITE, witness, stage, strategy))
+        return _new(PrimalityVerdict, (n, _COMPOSITE, witness, stage, strategy))
     a = qgrid.axis_divisor(n, descending)
     if a is None:
-        return tuple.__new__(PrimalityVerdict, (n, _PRIME, None, _GRID_SEARCH, strategy))
+        return _new(PrimalityVerdict, (n, _PRIME, None, _GRID_SEARCH, strategy))
     deciding = stage if stage is not None else _GRID_SEARCH
-    return tuple.__new__(PrimalityVerdict, (n, _COMPOSITE, qgrid._cell(a, n), deciding, strategy))
+    return _new(PrimalityVerdict, (n, _COMPOSITE, qgrid._cell(a, n), deciding, strategy))
 
 
 def factor_on_grid(n: int, strategy: SearchStrategy = SearchStrategy.ASCENDING_SCAN) -> FactorPair:
@@ -270,22 +273,35 @@ def full_factorize(n: int) -> list[int]:
     return factors + qgrid.axis_factors(n)
 
 
+def _running_counts() -> tuple[tuple[int, ...], ...]:
+    """Row r holds the survivors, then the rejections at each FILTER_STAGES
+    member, among the residues 1..r of one period, for r in 0..360."""
+    slot = {stage: i for i, stage in enumerate((None, *FILTER_STAGES))}
+    counts = [0] * len(slot)
+    rows = [tuple(counts)]
+    for r in range(1, 361):
+        counts[slot[_STAGE_AT[r % 360][0]]] += 1
+        rows.append(tuple(counts))
+    return tuple(rows)
+
+
 def survivor_density(limit: int) -> DensityReport:
     """Prefilter survival statistics over [1, limit].
 
     Every n is either a survivor or rejected at exactly one stage, so the
     counts partition the range.  The stage is a function of n mod 360, so
-    the counts come from the stage table in closed form: limit // 360 full
-    periods of it, plus its rows 1..limit % 360 for the last, partial one.
+    the counts come in closed form from the running counts of the stage
+    table, built on the first call: limit // 360 times their row 360 (one
+    full period), plus their row limit % 360 for the last, partial period.
     """
     require_limit(limit, "density limit", 100)
-    global _Fraction
-    if _Fraction is None:
+    global _Fraction, _COUNTS_TO
+    if _COUNTS_TO is None:
         from fractions import Fraction as _Fraction
+        _COUNTS_TO = _running_counts()
 
     periods, rest = divmod(limit, 360)
-    counts = dict.fromkeys((None, *FILTER_STAGES), 0)
-    for r, (stage, _) in enumerate(_STAGE_AT):
-        counts[stage] += periods + (0 < r <= rest)
-    survivors = counts.pop(None)
-    return DensityReport(limit, survivors, _Fraction(survivors, limit), counts)
+    full, part = _COUNTS_TO[360], _COUNTS_TO[rest]
+    survivors = periods * full[0] + part[0]
+    rejected = {stage: periods * full[i] + part[i] for i, stage in enumerate(FILTER_STAGES, 1)}
+    return DensityReport(limit, survivors, _Fraction(survivors, limit), rejected)

@@ -242,13 +242,18 @@ class GridCoordinate(namedtuple("GridCoordinate", "i j value")):
         return axis_value(self.i), axis_value(self.j)
 
 
+# The grid search builds every witness cell through _cell, so it reads the
+# constructor from a module-level name rather than an attribute of tuple.
+_new = tuple.__new__
+
+
 def _cell(a: int, n: int) -> GridCoordinate:
     """Cell of n for an axis divisor a <= sqrt(n) of n that the grid search has proved.
 
     v // 3 is the index of any axis value v (6t-1 -> 2t-1, 6t+1 -> 2t), and
     a * (n // a) == n holds already, so the constructor's checks are skipped.
     """
-    return tuple.__new__(GridCoordinate, (a // 3, n // a // 3, n))
+    return _new(GridCoordinate, (a // 3, n // a // 3, n))
 
 
 def require_in_cap(n: int) -> None:

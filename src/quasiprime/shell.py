@@ -19,7 +19,7 @@ import os
 import sys
 
 from . import pipeline, qgrid
-from .errors import ConsistencyError
+from .errors import ConsistencyError, ResourceLimitError
 from .pipeline import SearchStrategy, VerdictKind
 
 MAX_LIMIT_ENV = "QP_MAX_LIMIT"
@@ -111,7 +111,7 @@ def _check_env_cap(limit: int) -> None:
     except ValueError:
         raise ValueError(f"{MAX_LIMIT_ENV} must be an integer, got {raw!r}")
     if limit > cap:
-        raise ValueError(f"limit {limit} exceeds {MAX_LIMIT_ENV}={cap}")
+        raise ResourceLimitError(f"limit {limit} exceeds {MAX_LIMIT_ENV}={cap}")
 
 
 def build_parser() -> argparse.ArgumentParser:

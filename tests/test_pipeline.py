@@ -329,7 +329,7 @@ def table_is_prime(n):
 )
 def test_non_int_input_is_a_type_error(fn, args):
     bad = next(a for a in args if type(a) is not int)
-    with pytest.raises(TypeError, match=type(bad).__name__):
+    with pytest.raises(TypeError, match=f"must be an int, got {type(bad).__name__}$"):
         fn(*args)
 
 
@@ -609,6 +609,33 @@ class TestSurvivorDensity:
             Stage.DIGITAL_ROOT_369: 48 * 10**12,
             Stage.NOT_PRIME_MODULUS: 0,
         }
+
+    def test_every_remainder_matches_a_running_count(self):
+        # 100..819 meets each remainder mod 360 at least twice
+        counts = {stage: 0 for stage in (None, *FILTER_STAGES)}
+        for n in range(1, 820):
+            counts[first_failing_stage(n)] += 1
+            if n >= 100:
+                report = survivor_density(n)
+                assert report.survivors == counts[None], n
+                assert report.per_stage_rejections == {s: counts[s] for s in FILTER_STAGES}, n
+
+    def test_the_table_is_built_once_from_the_stage_rows(self, monkeypatch):
+        reads = []
+
+        class CountingRows(tuple):
+            def __getitem__(self, r):
+                reads.append(r)
+                return tuple.__getitem__(self, r)
+
+        monkeypatch.setattr(pipeline, "_STAGE_AT", CountingRows(_STAGE_AT))
+        monkeypatch.setattr(pipeline, "_COUNTS_TO", None)
+        first = survivor_density(10**5)
+        assert sorted(reads) == list(range(360))
+        reads.clear()
+        assert survivor_density(10**5 + 7) != first
+        assert survivor_density(10**5) == first
+        assert reads == []
 
     def test_json_shape(self):
         d = survivor_density(100).to_json_dict()

@@ -333,6 +333,16 @@ class TestUsageAndCaps:
             assert "error: limit 5000 exceeds QP_MAX_LIMIT=1000" in err
         assert not svg.exists()
 
+    def test_env_cap_raises_the_cap_error(self, monkeypatch):
+        monkeypatch.setenv(shell.MAX_LIMIT_ENV, "1000")
+        with pytest.raises(ResourceLimitError, match=r"^limit 5000 exceeds QP_MAX_LIMIT=1000$"):
+            shell._check_env_cap(5000)
+        shell._check_env_cap(1000)
+        monkeypatch.setenv(shell.MAX_LIMIT_ENV, "soon")
+        with pytest.raises(ValueError, match=r"^QP_MAX_LIMIT must be an integer, got 'soon'$") as caught:
+            shell._check_env_cap(5000)
+        assert type(caught.value) is ValueError
+
     def test_env_cap_allows_small_limits(self, capsys, monkeypatch):
         monkeypatch.setenv(shell.MAX_LIMIT_ENV, "1000")
         assert run(capsys, "density", "--limit", "900")[0] == 0
