@@ -2,12 +2,12 @@
 
 The filter stages run in a fixed order: odd, last digit in {1,3,7,9},
 digital root not in {3,6,9}, residue on a prime modulus of the 24-wheel.
-Each stage reads only n mod 2, 10, 9 or 24, and all four moduli divide
-360, so the first failing stage, and the divisor 2 or 3 behind it, depend
-on n mod 360 alone.  A 360-row table built at import holds both.  The
-prime-modulus stage never fires, since odd and free of 3 already puts n
-on a 6k±1 spoke, so the table is built from the other three stages; the
-fourth stays in the reports as an always-0 count.
+The prime-modulus stage never fires, since odd and free of 3 already puts
+n on a 6k±1 spoke, so it stays in the reports as an always-0 count.  The
+other three read only n mod 2, n mod 10 and whether 3 divides n (a digital
+root in {3,6,9}), so n mod 30 fixes the first failing stage and the
+divisor 2 or 3 behind it.  A 30-row table built at import holds both, and
+the running counts of its rows, built beside it, give survivor_density.
 Survivors go to the grid stage, which settles primality exactly in the
 order that qgrid's docstring sets out.  One guard, require_strategy,
 refuses a strategy that is not a SearchStrategy member.
@@ -150,7 +150,8 @@ def _stage_row(m: int) -> tuple[Stage | None, int | None]:
     The divisor is None when the stage implies none, which sends the caller
     to the grid: the last-digit stage also hits 5 itself (prime) and the
     multiples of 5 that live on the grid.  The prime-modulus stage is not
-    tested, since no m that passes the other three fails it.
+    tested, since no m that passes the other three fails it.  Those three
+    read m mod 2, m mod 10 and m mod 3, so the row depends on m mod 30 alone.
     """
     if m % 2 == 0:
         return Stage.NOT_ODD, 2
@@ -161,23 +162,35 @@ def _stage_row(m: int) -> tuple[Stage | None, int | None]:
     return None, None
 
 
-# fractions.Fraction and the running counts of the stage table, both set by
-# the first density report rather than at import: fractions loads decimal,
-# which no verdict needs.  Globals, since an import statement in the call
-# costs far more than its lookup.
-_Fraction = None
-_COUNTS_TO = None
+def _running_counts() -> tuple[tuple[int, ...], ...]:
+    """Row r holds the survivors, then the rejections at each FILTER_STAGES
+    member, among the residues 1..r of one period, for r in 0..30."""
+    slot = {stage: i for i, stage in enumerate((None, *FILTER_STAGES))}
+    counts = [0] * len(slot)
+    rows = [tuple(counts)]
+    for r in range(1, 31):
+        counts[slot[_STAGE_AT[r % 30][0]]] += 1
+        rows.append(tuple(counts))
+    return tuple(rows)
 
-# Row r serves every n = r (mod 360); 360 stands in for residue 0, since the
+
+# Row r serves every n = r (mod 30); 30 stands in for residue 0, since the
 # digital root is defined for positive integers only.
-_STAGE_AT = tuple(_stage_row(r or 360) for r in range(360))
+_STAGE_AT = tuple(_stage_row(r or 30) for r in range(30))
+_COUNTS_TO = _running_counts()
+
+# fractions.Fraction, set by the first density report rather than at import:
+# fractions loads decimal, which no verdict needs.  A global, since an import
+# statement in the call costs far more than its lookup.
+_Fraction = None
+
 
 def prefilter(n: int) -> FilterVerdict:
     """Run the four cheap stages in order; Pass means n survives them all."""
     require_in_cap(n)
     if n < 2:
         raise ValueError(f"prefilter is defined for n >= 2, got {n}")
-    stage = _STAGE_AT[n % 360][0]
+    stage = _STAGE_AT[n % 30][0]
     return FilterVerdict(stage is None, stage)
 
 
@@ -226,7 +239,7 @@ def is_prime(n: int, strategy: SearchStrategy = SearchStrategy.ASCENDING_SCAN) -
     if n < 4:
         kind = _INVALID if n < 2 else _PRIME_SPECIAL_SMALL
         return _new(PrimalityVerdict, (n, kind, None, None, strategy))
-    stage, witness = _STAGE_AT[n % 360]
+    stage, witness = _STAGE_AT[n % 30]
     if witness is not None:
         return _new(PrimalityVerdict, (n, _COMPOSITE, witness, stage, strategy))
     a = qgrid.axis_divisor(n, descending)
@@ -273,35 +286,22 @@ def full_factorize(n: int) -> list[int]:
     return factors + qgrid.axis_factors(n)
 
 
-def _running_counts() -> tuple[tuple[int, ...], ...]:
-    """Row r holds the survivors, then the rejections at each FILTER_STAGES
-    member, among the residues 1..r of one period, for r in 0..360."""
-    slot = {stage: i for i, stage in enumerate((None, *FILTER_STAGES))}
-    counts = [0] * len(slot)
-    rows = [tuple(counts)]
-    for r in range(1, 361):
-        counts[slot[_STAGE_AT[r % 360][0]]] += 1
-        rows.append(tuple(counts))
-    return tuple(rows)
-
-
 def survivor_density(limit: int) -> DensityReport:
     """Prefilter survival statistics over [1, limit].
 
     Every n is either a survivor or rejected at exactly one stage, so the
-    counts partition the range.  The stage is a function of n mod 360, so
+    counts partition the range.  The stage is a function of n mod 30, so
     the counts come in closed form from the running counts of the stage
-    table, built on the first call: limit // 360 times their row 360 (one
-    full period), plus their row limit % 360 for the last, partial period.
+    table: limit // 30 times their row 30 (one full period), plus their row
+    limit % 30 for the last, partial period.
     """
     require_limit(limit, "density limit", 100)
-    global _Fraction, _COUNTS_TO
-    if _COUNTS_TO is None:
+    global _Fraction
+    if _Fraction is None:
         from fractions import Fraction as _Fraction
-        _COUNTS_TO = _running_counts()
 
-    periods, rest = divmod(limit, 360)
-    full, part = _COUNTS_TO[360], _COUNTS_TO[rest]
+    periods, rest = divmod(limit, 30)
+    full, part = _COUNTS_TO[30], _COUNTS_TO[rest]
     survivors = periods * full[0] + part[0]
     rejected = {stage: periods * full[i] + part[i] for i, stage in enumerate(FILTER_STAGES, 1)}
     return DensityReport(limit, survivors, _Fraction(survivors, limit), rejected)

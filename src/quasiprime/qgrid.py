@@ -143,10 +143,13 @@ _RHO_BATCH = 128  # rho steps whose differences share one gcd
 # A split saves a rho, 30 us, 270 us, 1.4 ms and 31 ms on those products at
 # the four sizes.  A miss comes before Miller-Rabin on n, one modular
 # exponentiation of 4-5 us at 32 bits, or before a rho, 13, 68, 165 and
-# 1060 us on the p ~ n**(1/3) products.  The window of 100 was set when a
-# miss scanned a by residues mod 12 and cost 2.7-3.6 us at W = 40, 4.4-6.7
-# at 100 and 33-51 at 1000 (measured alongside the rows above); it kept a
-# miss under half the cheapest rho and near one Miller-Rabin test of n.
+# 1060 us on the p ~ n**(1/3) products.  Folding the window into the reach,
+# one _fermat(n, 0, _reach(n)) before Miller-Rabin, gives the same factors
+# but makes a prime pay the whole reach: with _split swapped in one process
+# (CPython 3.11.7, 2-core VM, CPU time, order alternated, best of 5 per op),
+# perfbench's scalar ops, seeds 1-3, read ops/s -1.4 to -1.8 % and p99 +4 to
+# +5 %; per _split, primes at 1e10-1e14 +4 to +7 %, and p in the 10 % below
+# sqrt(n) -49 % at 1e10 but flat at 1e12 and 1e14.  So the window stays.
 #
 # Once Miller-Rabin has shown n composite, a miss no longer delays a prime's
 # verdict, only rho, so the stage goes on to _reach(n) = max(100, min(1000,
@@ -175,13 +178,10 @@ _RHO_BATCH = 128  # rho steps whose differences share one gcd
 # window alone: 71 % at 1e9, 35 % at 1e10), 38 % at 1e12 and 20 % at 1e14.
 # On the p ~ n**(1/3) and n**0.4 products it costs -1 to +5 %, within the
 # run-to-run spread (rho alone moved up to 40 % between runs at 1e18): a miss
-# over 1000 values of a takes ~3-4 us.  The rule was chosen when such a miss
-# took ~44 us and cost those products +4 to +23 %, and a cap of 2000 up to
-# +40 % (the mod-12 scan, same n, measured alongside); with this scan a cap
-# of 2000 costs them nothing measurable and takes the near-square products
-# at 1e12 from 436 to 235 us.  The near-square products at 1e7 and
-# 1e8 hit inside the window; the ~0.6 us they lose is the call of _reach and
-# the longer span's mask.
+# over 1000 values of a takes ~3-4 us.  A cap of 2000 costs them nothing
+# measurable either, and takes the near-square products at 1e12 from 436 to
+# 235 us.  The near-square products at 1e7 and 1e8 hit inside the window;
+# the ~0.6 us they lose is the call of _reach and the longer span's mask.
 FERMAT_WINDOW = 100
 _REACH_CAP = 1000  # the most values of a that _reach gives, so the longest span of a call
 # A square is a square mod every m, so a*a - n = b*b needs a*a - n to be a

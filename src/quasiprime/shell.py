@@ -48,9 +48,7 @@ def __dir__() -> list[str]:
 # text rendering helpers
 
 
-def format_region_text(i_lo: int, i_hi: int, j_lo: int, j_hi: int, values: list[list[int]]) -> str:
-    row_axis = [qgrid.axis_value(i) for i in range(i_lo, i_hi + 1)]
-    col_axis = [qgrid.axis_value(j) for j in range(j_lo, j_hi + 1)]
+def format_region_text(row_axis: list[int], col_axis: list[int], values: list[list[int]]) -> str:
     width = max(len(str(v)) for row in values for v in row)
     width = max(width, max(len(str(v)) for v in row_axis + col_axis))
     head = " " * (width + 2) + " ".join(str(c).rjust(width) for c in col_axis)
@@ -85,6 +83,10 @@ def _format_factors_text(n: int, factors: list[int]) -> str:
     off = [p for p in factors if p in (2, 3)]
     tail = f"  (factors {off} lie off the quasi-prime wheel)" if off else ""
     return f"{n} = " + " × ".join(runs) + tail
+
+
+def _format_rejections_text(counts: dict[str, int]) -> str:
+    return "rejections: " + ", ".join(f"{name}={count}" for name, count in counts.items())
 
 
 # --------------------------------------------------------------------------
@@ -205,7 +207,7 @@ def _cmd_qgrid(args) -> int:
         "col_axis": [qgrid.axis_value(j) for j in range(j_lo, j_hi + 1)],
         "values": values,
     }
-    _emit(payload, format_region_text(i_lo, i_hi, j_lo, j_hi, values), args.json)
+    _emit(payload, format_region_text(payload["row_axis"], payload["col_axis"], values), args.json)
     return 0
 
 
@@ -255,29 +257,26 @@ def _cmd_bench(args) -> int:
     from .bench import bench
 
     report = bench(args.limit)
-    rejections = pipeline.rejections_by_name(report.per_stage_rejections)
+    payload = report.to_json_dict()
     text = (
         f"limit {report.limit}: staged pipeline {report.pipeline_seconds:.3f}s, "
         f"trial division {report.trial_division_seconds:.3f}s, "
         f"{report.primes_found} primes, survivor fraction {report.fraction:.4f}\n"
-        f"rejections: "
-        + ", ".join(f"{name}={count}" for name, count in rejections.items())
-        + f"\nnote: {report.notes}"
+        f"{_format_rejections_text(payload['per_stage_rejections'])}\nnote: {report.notes}"
     )
-    _emit(report.to_json_dict(), text, args.json)
+    _emit(payload, text, args.json)
     return 0
 
 
 def _cmd_density(args) -> int:
     report = pipeline.survivor_density(args.limit)
-    rejections = pipeline.rejections_by_name(report.per_stage_rejections)
+    payload = report.to_json_dict()
     text = (
         f"limit {report.limit}: {report.survivors} survivors, "
-        f"fraction {float(report.fraction):.6f} (4/15 ≈ 0.266667)\n"
-        f"rejections: "
-        + ", ".join(f"{name}={count}" for name, count in rejections.items())
+        f"fraction {payload['fraction']:.6f} (4/15 ≈ 0.266667)\n"
+        f"{_format_rejections_text(payload['per_stage_rejections'])}"
     )
-    _emit(report.to_json_dict(), text, args.json)
+    _emit(payload, text, args.json)
     return 0
 
 

@@ -58,27 +58,6 @@ def test_import_builds_no_table_and_a_small_call_a_small_one():
     assert block_len == block_slots and 8 * block_len < table_slots
 
 
-# The running counts behind survivor_density are built by its first call, so
-# neither the package nor the shell builds them at import.
-DENSITY_PROBE = """
-import quasiprime
-from quasiprime import pipeline
-print(pipeline._COUNTS_TO is None)
-import quasiprime.shell
-print(pipeline._COUNTS_TO is None)
-quasiprime.survivor_density(1000)
-print(len(pipeline._COUNTS_TO))
-"""
-
-
-def test_import_builds_no_density_table_and_the_first_report_builds_it():
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    result = subprocess.run(
-        [sys.executable, "-c", DENSITY_PROBE], env=env, capture_output=True, text=True, check=True
-    )
-    assert result.stdout == "True\nTrue\n361\n"
-
-
 # What a command does not use stays unloaded: the dataclass machinery (with
 # inspect), fractions (with decimal), json, the sieve oracle, the wheel
 # emitter and the bench harness.

@@ -399,7 +399,7 @@ class TestUsageAndCaps:
 
 class TestRegionFormatting:
     def test_header_and_rows(self):
-        text = shell.format_region_text(1, 2, 1, 2, [[25, 35], [35, 49]])
+        text = shell.format_region_text([5, 7], [5, 7], [[25, 35], [35, 49]])
         lines = text.splitlines()
         assert len(lines) == 4
         assert lines[0].split() == ["5", "7"]
