@@ -22,7 +22,6 @@ from enum import Enum
 
 from . import qgrid
 from .errors import NoFactorsError, NotQuasiPrimeError, require_int, require_limit
-from .numerics import digital_root
 from .qgrid import MAX_VALUE, GridCoordinate, require_in_cap
 
 __all__ = ["DensityReport", "FactorPair", "FilterVerdict", "PrimalityVerdict", "SearchStrategy",
@@ -157,7 +156,7 @@ def _stage_row(m: int) -> tuple[Stage | None, int | None]:
         return Stage.NOT_ODD, 2
     if m % 10 not in (1, 3, 7, 9):
         return Stage.LAST_DIGIT, 3 if m % 3 == 0 else None
-    if digital_root(m) in (3, 6, 9):
+    if m % 3 == 0:  # a digital root in {3, 6, 9}
         return Stage.DIGITAL_ROOT_369, 3
     return None, None
 
@@ -186,7 +185,8 @@ _Fraction = None
 
 
 def prefilter(n: int) -> FilterVerdict:
-    """Run the four cheap stages in order; Pass means n survives them all."""
+    """First failing filter stage of n, read off the stage table's row for
+    n mod 30; passed means n survives all four."""
     require_in_cap(n)
     if n < 2:
         raise ValueError(f"prefilter is defined for n >= 2, got {n}")
@@ -214,6 +214,8 @@ def dr_pairs(r: int) -> frozenset[tuple[int, int]]:
         raise ValueError(f"no factor coprime to 3 yields a product with digital root {r}")
     if r not in (1, 2, 4, 5, 7, 8):
         raise ValueError(f"digital root must be in 1..9, got {r}")
+    from .numerics import digital_root
+
     units = (1, 2, 4, 5, 7, 8)
     return frozenset(
         (x, y) for x in units for y in units if x <= y and digital_root(x * y) == r

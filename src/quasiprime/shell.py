@@ -9,7 +9,9 @@ command renders text by default and JSON under --json.  Exit codes:
 Each qprime process compiles what it imports, so a command loads only what
 it runs: the wheel emitter and the bench harness are modules of their own,
 which only `wheel` and `bench` load (shell serves their names on first
-access); the sieve oracle loads for wheel, verify and bench; json for --json.
+access); the sieve oracle loads for wheel, verify and bench; numerics, the
+digital-root and wheel algebra, for wheel; the splitter for the first n above
+the table cap with no axis prime up to 1531 as a factor; json for --json.
 """
 
 from __future__ import annotations

@@ -60,10 +60,12 @@ def test_import_builds_no_table_and_a_small_call_a_small_one():
 
 # What a command does not use stays unloaded: the dataclass machinery (with
 # inspect), fractions (with decimal), json, the sieve oracle, the wheel
-# emitter and the bench harness.
+# emitter, the bench harness, the digital-root and wheel algebra, and the
+# splitter, which only an n above the table cap with no factor it names needs.
 UNUSED = (
     "dataclasses", "inspect", "fractions", "decimal", "json",
-    "quasiprime.oracle", "quasiprime.wheel", "quasiprime.bench",
+    "quasiprime.oracle", "quasiprime.wheel", "quasiprime.bench", "quasiprime.numerics",
+    "quasiprime.splitter",
 )
 
 GUARD_PROBE = """
@@ -79,22 +81,29 @@ try:
     runpy.run_module("quasiprime", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     print(exc.code, "json" in sys.modules)
+quasiprime.is_prime(1000000007)
+print(sorted(unused & set(sys.modules) - before))
 print(quasiprime.oracle.sieve is quasiprime.sieve, sorted(unused & set(sys.modules) - before))
 print(sorted(set(quasiprime.__all__) - set(vars(quasiprime))))
+print(quasiprime.digital_root is quasiprime.numerics.digital_root, sorted(unused & set(sys.modules) - before))
+print(sorted(set(quasiprime.__all__) - set(vars(quasiprime))))
 """
-
 
 def test_import_and_a_quiet_verdict_load_nothing_they_do_not_use():
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     result = subprocess.run(
         [sys.executable, "-c", GUARD_PROBE, *UNUSED], env=env, capture_output=True, text=True, check=True
     )
-    package, shell, quiet, served, unbound = result.stdout.splitlines()
+    package, shell, quiet, above_cap, served, unbound, served_numerics, unbound_numerics = result.stdout.splitlines()
     assert package == "[]"
     assert shell == "[]"
     assert quiet == "1 False"  # 91 = 7 × 13 is composite
-    assert served == "True ['quasiprime.oracle']"  # loaded on first access only
-    assert unbound == "[]"  # then bound in the package, as an eager import left them
+    assert above_cap == "['quasiprime.splitter']"  # a prime above the cap, which no table prime divides
+    assert served == "True ['quasiprime.oracle', 'quasiprime.splitter']"  # loaded on first access only
+    # the oracle's names bound in the package, as an eager import left them; numerics' not yet
+    assert unbound == str(sorted(import_module("quasiprime.numerics").__all__))
+    assert served_numerics == "True ['quasiprime.numerics', 'quasiprime.oracle', 'quasiprime.splitter']"
+    assert unbound_numerics == "[]"  # all ten bound by the first
 
 
 # Each command of a fresh qprime process loads the wheel emitter or the bench
@@ -154,25 +163,36 @@ def test_shell_serves_the_names_that_moved(module):
         shell.no_such_name
 
 
-# The sieve oracle, loaded by the commands that check against it, adds no
-# top-level module to those the package loaded.  Without site (-S) the
-# interpreter loads so little that an import of typing for annotations only,
-# with re, os and warnings behind it, would show.
-ORACLE_PROBE = """
+# The sieve oracle, loaded by the commands that check against it, and the
+# splitter, loaded by the first n that needs it, add no top-level module to
+# those the package loaded.  Without site (-S) the interpreter loads so little
+# that an import of typing for annotations only, with re, os and warnings
+# behind it, would show.
+LAZY_MODULE_PROBE = """
 import sys
+from importlib import import_module
 import quasiprime
 before = {name.partition(".")[0] for name in sys.modules}
-import quasiprime.oracle
+import_module(sys.argv[1])
 print(sorted({name.partition(".")[0] for name in sys.modules} - before))
 """
 
 
-def test_oracle_adds_no_top_level_module_to_the_package():
+def lazy_module_adds(module):
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     result = subprocess.run(
-        [sys.executable, "-S", "-c", ORACLE_PROBE], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-S", "-c", LAZY_MODULE_PROBE, module], env=env, capture_output=True, text=True,
+        check=True,
     )
-    assert result.stdout == "[]\n"
+    return result.stdout
+
+
+def test_oracle_adds_no_top_level_module_to_the_package():
+    assert lazy_module_adds("quasiprime.oracle") == "[]\n"
+
+
+def test_splitter_adds_no_top_level_module_to_the_package():
+    assert lazy_module_adds("quasiprime.splitter") == "[]\n"
 
 
 # The names `quasiprime/__init__.py` exported when it imported the oracle eagerly.
@@ -210,8 +230,9 @@ def test_export_set_is_whole():
         quasiprime.no_such_name
 
 
-# Each module declares its own exports; the package adds the oracle's, which
-# it lists by name so that the oracle stays unloaded until one is used.
+# Each module declares its own exports; the package serves the oracle's and
+# numerics' through one map, which lists them by name so that neither module
+# loads until one of its names is used.
 MODULES = ("errors", "numerics", "qgrid", "pipeline")
 
 
@@ -226,9 +247,14 @@ def test_each_module_declares_its_exports_once(name):
 def test_package_exports_are_the_modules_lists_and_the_oracle_names():
     import quasiprime
 
-    declared = [(name, export) for name in MODULES for export in import_module(f"quasiprime.{name}").__all__]
-    declared += [("oracle", export) for export in quasiprime._ORACLE_NAMES]
+    lazy = quasiprime._LAZY
+    declared = [(name, export) for name in MODULES if name not in lazy.values()
+                for export in import_module(f"quasiprime.{name}").__all__]
+    declared += [(home, export) for export, home in lazy.items()]
     assert sorted(quasiprime.__all__) == sorted(export for _, export in declared)
     assert len(set(quasiprime.__all__)) == len(quasiprime.__all__)
     for name, export in declared:
         assert getattr(quasiprime, export) is getattr(import_module(f"quasiprime.{name}"), export), export
+    # the map lists numerics' own exports, whole and in order
+    assert [export for export, home in lazy.items() if home == "numerics"] == import_module(
+        "quasiprime.numerics").__all__

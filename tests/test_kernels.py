@@ -2,7 +2,7 @@
 against references that share none of their tables.
 
 sympy's isprime, without gmpy, uses the very base tables of
-qgrid._is_prime_mr below 2**64, so a comparison with it would prove nothing
+splitter._is_prime_mr below 2**64, so a comparison with it would prove nothing
 about them.  The references here are the Miller-Rabin test on the first k
 prime bases, read off the least strong pseudoprimes psi_k, the in-repo sieve
 and Fermat's method tried at every a.
@@ -13,7 +13,7 @@ from math import gcd, isqrt, prod
 
 import pytest
 
-from quasiprime import oracle, qgrid
+from quasiprime import oracle, qgrid, splitter
 
 # psi_4, psi_5, psi_6, psi_7 and psi_9: each passes Miller-Rabin on every one
 # of the first 4, 5, 6, 7 and 9 prime bases, and is composite
@@ -63,8 +63,8 @@ def reference_is_prime_mr(n):
     return True
 
 
-def reference_fermat(n, start=0, stop=qgrid.FERMAT_WINDOW):
-    """qgrid._fermat by trying every a = ceil(sqrt(n)) + t, start <= t < stop, in turn."""
+def reference_fermat(n, start=0, stop=splitter.FERMAT_WINDOW):
+    """splitter._fermat by trying every a = ceil(sqrt(n)) + t, start <= t < stop, in turn."""
     r = isqrt(n)
     low = r + (r * r < n)
     for a in range(low + start, low + stop):
@@ -92,7 +92,7 @@ def chernick_carmichaels(limit):
 
 
 # Where the next, longer base set takes over: 2**32 and each set's bound below 2**64.
-BOUNDS = [2**32, *(bound for bound, _ in qgrid._MR_BASE_SETS[:-1])]
+BOUNDS = [2**32, *(bound for bound, _ in splitter._MR_BASE_SETS[:-1])]
 
 
 def near(bound, count, seed):
@@ -110,12 +110,12 @@ class TestMillerRabin:
     def test_agrees_with_the_reference_just_above_the_cap(self):
         for n in range(qgrid.TABLE_CAP + 1, qgrid.TABLE_CAP + 2 * 10**5 + 1):
             if free_of_47(n):
-                assert qgrid._is_prime_mr(n) == reference_is_prime_mr(n), n
+                assert splitter._is_prime_mr(n) == reference_is_prime_mr(n), n
 
     @pytest.mark.parametrize("bound", [*BOUNDS, qgrid.MAX_VALUE], ids=[*map(str, BOUNDS), "MAX_VALUE"])
     def test_agrees_with_the_reference_around_each_bound(self, bound):
         ns = near(bound, 2000, bound)
-        verdicts = [qgrid._is_prime_mr(n) for n in ns]
+        verdicts = [splitter._is_prime_mr(n) for n in ns]
         assert verdicts == [reference_is_prime_mr(n) for n in ns]
         assert any(verdicts)  # the primes among them are tested on every base of their set
 
@@ -124,24 +124,24 @@ class TestMillerRabin:
         table = oracle.sieve(limit)
         for n in range(301**2, limit + 1):  # from well below the least n that _split tests, TABLE_CAP + 1
             if free_of_47(n):
-                assert qgrid._is_prime_mr(n) == table.is_prime(n), n
+                assert splitter._is_prime_mr(n) == table.is_prime(n), n
 
     @pytest.mark.parametrize("n", STRONG_PSEUDOPRIMES)
     def test_refuses_the_strong_pseudoprimes(self, n):
-        assert not reference_is_prime_mr(n) and not qgrid._is_prime_mr(n)
+        assert not reference_is_prime_mr(n) and not splitter._is_prime_mr(n)
 
     def test_refuses_the_carmichael_numbers_above_the_cap(self):
         carmichaels = [n for n in chernick_carmichaels(qgrid.MAX_VALUE) if n > qgrid.TABLE_CAP]
         assert len(carmichaels) > 100 and carmichaels[0] == 56052361  # 211 * 421 * 631
         for n in carmichaels:
-            assert not reference_is_prime_mr(n) and not qgrid._is_prime_mr(n), n
+            assert not reference_is_prime_mr(n) and not splitter._is_prime_mr(n), n
 
     def test_refuses_every_n_with_a_factor_up_to_47(self):
         # the base tables are proven only for n with no such factor, which _split never
         # asks about; Miller-Rabin's own rounds still refuse these
         for q in PRIMES_5_TO_47:
             for m in (10**6 + 3, 10**9 + 7, 2**31 - 1, 4294967291, 3037000493, (10**6 + 3) * (10**6 + 33)):
-                assert not qgrid._is_prime_mr(q * m), (q, m)
+                assert not splitter._is_prime_mr(q * m), (q, m)
 
 
 def near_square_products(count, seed):
@@ -151,7 +151,7 @@ def near_square_products(count, seed):
     out = []
     while len(out) < count:
         d = rng.randrange(isqrt(qgrid.TABLE_CAP) + 1, 3 * 10**9) | 1
-        target = rng.randrange(qgrid._REACH_CAP + 8)
+        target = rng.randrange(splitter._REACH_CAP + 8)
         lo, hi = 0, d  # e = d + 2*k: the offset rises with k
         while hi - lo > 1:
             mid = (lo + hi) // 2
@@ -176,10 +176,10 @@ class TestFermat:
         cases += [(rng.randrange(qgrid.TABLE_CAP, qgrid.MAX_VALUE) | 1, 0) for _ in range(400)]
         for n, t in cases:
             # a span that ends at the pair or just past it, and the window and reach spans
-            for start, stop in ((0, t), (0, t + 1), (t, t + 1), (0, qgrid.FERMAT_WINDOW),
-                                (qgrid.FERMAT_WINDOW, qgrid._REACH_CAP), (0, qgrid._REACH_CAP)):
-                if stop <= qgrid._REACH_CAP:
-                    assert qgrid._fermat(n, start, stop) == reference_fermat(n, start, stop), (n, start, stop)
+            for start, stop in ((0, t), (0, t + 1), (t, t + 1), (0, splitter.FERMAT_WINDOW),
+                                (splitter.FERMAT_WINDOW, splitter._REACH_CAP), (0, splitter._REACH_CAP)):
+                if stop <= splitter._REACH_CAP:
+                    assert splitter._fermat(n, start, stop) == reference_fermat(n, start, stop), (n, start, stop)
 
     def test_a_prime_misses_every_reach(self):
         # _split runs the window before Miller-Rabin on every n above TABLE_CAP, so a prime
@@ -189,14 +189,14 @@ class TestFermat:
         primes = [p for p in range(low + 1, low + 2 * 10**5 + 1) if table.is_prime(p)]
         assert primes and offset(1, primes[0]) >= 45000
         for p in primes:
-            assert qgrid._fermat(p, 0, qgrid._REACH_CAP) is None, p
+            assert splitter._fermat(p, 0, splitter._REACH_CAP) is None, p
 
     def test_rows_cover_the_reach_at_every_shift(self):
         # row[n % m] >> (a % m) must keep _REACH_CAP bits for every a % m
-        qgrid._fermat(qgrid.TABLE_CAP + 2)
-        for m, rows in zip(qgrid._FERMAT_MODULI, qgrid._fermat_rows, strict=True):
+        splitter._fermat(qgrid.TABLE_CAP + 2)
+        for m, rows in zip(splitter._FERMAT_MODULI, splitter._fermat_rows, strict=True):
             squares = {i * i % m for i in range(m)}
-            span = range(qgrid._REACH_CAP + m)
+            span = range(splitter._REACH_CAP + m)
             assert len(rows) == m
             for r, row in enumerate(rows):
                 assert row & (1 << len(span)) - 1 == sum(1 << j for j in span if (j * j - r) % m in squares), (m, r)

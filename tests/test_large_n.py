@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasiprime import qgrid
+from quasiprime import qgrid, splitter
 from quasiprime.errors import NoFactorsError
 from quasiprime.pipeline import SearchStrategy, factor_on_grid, full_factorize, is_prime
 from test_kernels import STRONG_PSEUDOPRIMES
@@ -141,14 +141,14 @@ def test_near_square_products(p, k):
         q = sympy.nextprime(q)
     if p * q > qgrid.MAX_VALUE:
         p, q = sympy.prevprime(p), p
-    assert qgrid._fermat(p * q) == p
+    assert splitter._fermat(p * q) == p
     check(p * q)
 
 
 @given(root_primes)
 @settings(max_examples=100, deadline=None)
 def test_prime_squares(p):
-    assert qgrid._fermat(p * p) == p
+    assert splitter._fermat(p * p) == p
     check(p * p)
 
 
@@ -160,11 +160,11 @@ def test_three_primes_whose_balanced_divisor_is_composite(p, q):
     n = p * q * r
     if n <= qgrid.TABLE_CAP or n > qgrid.MAX_VALUE:
         return
-    assert qgrid._fermat(n) == p * q
+    assert splitter._fermat(n) == p * q
     check(n)
 
 
-def window_edge(p, width=lambda n: qgrid.FERMAT_WINDOW):
+def window_edge(p, width=lambda n: splitter.FERMAT_WINDOW):
     """The largest prime q whose pair with p lies inside the Fermat window, and the least outside it.
 
     ``width(n)`` is the number of values of a the window holds for n = p*q.
@@ -182,11 +182,11 @@ def window_edge(p, width=lambda n: qgrid.FERMAT_WINDOW):
 def test_products_at_the_edge_of_the_window(size):
     p = sympy.prevprime(size)
     inside, outside = window_edge(p)
-    assert fermat_offset(p, inside) < qgrid.FERMAT_WINDOW <= fermat_offset(p, outside)
-    assert qgrid._fermat(p * inside) == p
-    assert qgrid._fermat(p * outside) is None
+    assert fermat_offset(p, inside) < splitter.FERMAT_WINDOW <= fermat_offset(p, outside)
+    assert splitter._fermat(p * inside) == p
+    assert splitter._fermat(p * outside) is None
     # Once Miller-Rabin shows it composite, the reach meets it past the window.
-    assert qgrid._fermat(p * outside, qgrid.FERMAT_WINDOW, qgrid._reach(p * outside)) == p
+    assert splitter._fermat(p * outside, splitter.FERMAT_WINDOW, splitter._reach(p * outside)) == p
     for n in (p * inside, p * outside):
         check(n)
 
@@ -196,13 +196,13 @@ def test_products_at_the_edge_of_the_reach(size):
     # On an n known to be composite the stage goes on past the window, to
     # _reach(n) values of a, before rho.
     p = sympy.prevprime(size)
-    inside, outside = window_edge(p, qgrid._reach)
-    assert qgrid.FERMAT_WINDOW <= fermat_offset(p, inside) < qgrid._reach(p * inside)
-    assert fermat_offset(p, outside) >= qgrid._reach(p * outside)
-    assert qgrid._fermat(p * inside) is None
-    assert qgrid._fermat(p * inside, 0, qgrid._reach(p * inside)) == p
-    assert qgrid._fermat(p * inside, qgrid.FERMAT_WINDOW, qgrid._reach(p * inside)) == p
-    assert qgrid._fermat(p * outside, 0, qgrid._reach(p * outside)) is None  # left to rho
+    inside, outside = window_edge(p, splitter._reach)
+    assert splitter.FERMAT_WINDOW <= fermat_offset(p, inside) < splitter._reach(p * inside)
+    assert fermat_offset(p, outside) >= splitter._reach(p * outside)
+    assert splitter._fermat(p * inside) is None
+    assert splitter._fermat(p * inside, 0, splitter._reach(p * inside)) == p
+    assert splitter._fermat(p * inside, splitter.FERMAT_WINDOW, splitter._reach(p * inside)) == p
+    assert splitter._fermat(p * outside, 0, splitter._reach(p * outside)) is None  # left to rho
     for n in (p * inside, p * outside):
         check(n)
 
@@ -224,10 +224,10 @@ def test_the_stage_covers_the_walk_it_replaced():
             r = isqrt(n)
             if d > r - span:
                 largest = max(x for x in range(d, r + 1) if n % x == 0)
-                assert qgrid._fermat(n) == largest, n
+                assert splitter._fermat(n) == largest, n
                 farthest = max(farthest, fermat_offset(largest, n // largest))
                 deepest = max(deepest, r - largest)
                 if r - largest > span - 8:  # in the walk's last pair
                     check(n)
     assert deepest == span - 1
-    assert farthest == 36 < qgrid.FERMAT_WINDOW
+    assert farthest == 36 < splitter.FERMAT_WINDOW

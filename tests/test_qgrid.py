@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from quasiprime import oracle, qgrid
+from quasiprime import oracle, qgrid, splitter
 from quasiprime.errors import NoFactorsError, NotOnPrimeModuliError, ResourceLimitError
 from quasiprime.pipeline import SearchStrategy, factor_on_grid, full_factorize, is_prime
 from quasiprime.qgrid import (
@@ -280,13 +280,13 @@ def fermats(monkeypatch):
     """(n, range(start, stop), result) of each Fermat stage call, in call order:
     the t of a = ceil(sqrt(n)) + t it tries, and the divisor it met or None."""
     calls = []
-    fermat = qgrid._fermat
+    fermat = splitter._fermat
 
-    def counted(n, start=0, stop=qgrid.FERMAT_WINDOW):
+    def counted(n, start=0, stop=splitter.FERMAT_WINDOW):
         calls.append((n, range(start, stop), fermat(n, start, stop)))
         return calls[-1][2]
 
-    monkeypatch.setattr(qgrid, "_fermat", counted)
+    monkeypatch.setattr(splitter, "_fermat", counted)
     return calls
 
 
@@ -299,35 +299,35 @@ def stage_calls(monkeypatch):
     has no prime factor the table can name.
     """
     counts = Counter()
-    split = qgrid._split
+    split = splitter._split
 
     def checked_split(n):
         assert gcd(n, qgrid._AXIS_PRIMORIAL) == 1, n
         return split(n)
 
-    monkeypatch.setattr(qgrid, "_split", checked_split)
+    monkeypatch.setattr(splitter, "_split", checked_split)
     for stage, name in (("mr", "_is_prime_mr"), ("fermat", "_fermat"), ("rho", "_rho")):
-        def counted(n, *args, stage=stage, run=getattr(qgrid, name)):
+        def counted(n, *args, stage=stage, run=getattr(splitter, name)):
             counts[stage, n] += 1
             result = run(n, *args)
             if stage == "mr":
                 assert free_of_47(n), n
             return result
 
-        monkeypatch.setattr(qgrid, name, counted)
+        monkeypatch.setattr(splitter, name, counted)
     return counts
 
 
 @pytest.fixture
 def pow_calls(monkeypatch):
-    """Arguments of each call of pow in qgrid, one per Miller-Rabin base tried, in call order."""
+    """Arguments of each call of pow in splitter, one per Miller-Rabin base tried, in call order."""
     calls = []
 
     def counted(*args):
         calls.append(args)
         return pow(*args)
 
-    monkeypatch.setattr(qgrid, "pow", counted, raising=False)
+    monkeypatch.setattr(splitter, "pow", counted, raising=False)
     return calls
 
 
@@ -338,7 +338,7 @@ def assert_fermat_within_the_window(fermats, n, factors=()):
     if d is not None:
         r = isqrt(n)
         ceil_root = r + (r * r < n)
-        assert 0 <= (d + n // d) // 2 - ceil_root < qgrid.FERMAT_WINDOW
+        assert 0 <= (d + n // d) // 2 - ceil_root < splitter.FERMAT_WINDOW
 
 
 def factor_or_none(n, strategy):
@@ -412,13 +412,13 @@ class TestStageWork:
         # window splits n first; the rest of its Miller-Rabin calls are on the
         # factors it splits off.
         tested = []
-        mr = qgrid._is_prime_mr
+        mr = splitter._is_prime_mr
 
         def counted(m):
             tested.append(m)
             return mr(m)
 
-        monkeypatch.setattr(qgrid, "_is_prime_mr", counted)
+        monkeypatch.setattr(splitter, "_is_prime_mr", counted)
         verdict = is_prime(n, SearchStrategy.ASCENDING_SCAN)
         assert (verdict.witness.axis_values[0] if least else verdict.witness) == least
         assert tested.count(n) == tests
@@ -504,7 +504,7 @@ class TestStageWork:
     def test_the_stage_tries_at_most_the_reach_on_n(self, fermats, call):
         n = 1009 * (10**9 + 7)
         call(n)
-        assert sum(len(t) for m, t, _ in fermats if m == n) <= qgrid._reach(n)
+        assert sum(len(t) for m, t, _ in fermats if m == n) <= splitter._reach(n)
 
     @pytest.mark.parametrize("call", GRID_CALLS.values(), ids=GRID_CALLS.keys())
     @pytest.mark.parametrize(
