@@ -40,10 +40,10 @@ REGION_CELL_CAP = 10**4
 # an n with no prime factor up to AXIS_PRIME_MAX goes to the splitter.  A table
 # byte holds the pair index k <= 255 of a least factor 6k-1 or 6k+1, so
 # AXIS_PRIME_MAX is the largest axis prime with k <= 255, 1531 = 6 * 255 + 1
-# (no axis prime lies in (1531, 1543)).  The byte, not the cost, sets it.  Per call on CPython 3.11.7
-# (2-core VM, CPU time, best of 7 over 60 n of each class, both strategies,
-# is_prime, factor_on_grid and full_factorize; semiprimes p*q with p in the
-# 10 % below sqrt(n)):
+# (no axis prime lies in (1531, 1543)).  The byte, not the cost, sets it.
+# Per call on CPython 3.11.7 (2-core VM, CPU time, best of 7 over 60 n of each
+# class, both strategies, is_prime, factor_on_grid and full_factorize;
+# semiprimes p*q with p in the 10 % below sqrt(n)):
 #
 #   class       n in (TABLE_CAP/2, TABLE_CAP]    n in (TABLE_CAP, 4 TABLE_CAP]
 #   random      1.1-3.2 us (table)               2.7-5.3 us (gcd, lookup, MR, rho)
@@ -198,7 +198,8 @@ def axis_divisor(n: int, descending: bool = False) -> int | None:
             return _least_prime(small)
         if _splitter is None:
             _load_splitter()
-        factors = _splitter._split(n)  # the Fermat stage's window or Miller-Rabin in it decides whether n is prime, once
+        # the Fermat stage's window or Miller-Rabin in it decides whether n is prime, once
+        factors = _splitter._split(n)
         return min(factors) if len(factors) > 1 else None
     factors = axis_factors(n)
     if len(factors) < 3:  # prime, or the product of two primes

@@ -81,6 +81,8 @@ try:
     runpy.run_module("quasiprime", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     print(exc.code, "json" in sys.modules)
+quasiprime.is_prime(1009 * 1000000007)
+print(sorted(unused & set(sys.modules) - before))
 quasiprime.is_prime(1000000007)
 print(sorted(unused & set(sys.modules) - before))
 print(quasiprime.oracle.sieve is quasiprime.sieve, sorted(unused & set(sys.modules) - before))
@@ -89,16 +91,19 @@ print(quasiprime.digital_root is quasiprime.numerics.digital_root, sorted(unused
 print(sorted(set(quasiprime.__all__) - set(vars(quasiprime))))
 """
 
+
 def test_import_and_a_quiet_verdict_load_nothing_they_do_not_use():
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     result = subprocess.run(
         [sys.executable, "-c", GUARD_PROBE, *UNUSED], env=env, capture_output=True, text=True, check=True
     )
-    package, shell, quiet, above_cap, served, unbound, served_numerics, unbound_numerics = result.stdout.splitlines()
+    (package, shell, quiet, table_factor, above_cap, served, unbound, served_numerics,
+     unbound_numerics) = result.stdout.splitlines()
     assert package == "[]"
     assert shell == "[]"
     assert quiet == "1 False"  # 91 = 7 × 13 is composite
-    assert above_cap == "['quasiprime.splitter']"  # a prime above the cap, which no table prime divides
+    assert table_factor == "[]"  # above the cap, but its least factor is a table prime
+    assert above_cap == "['quasiprime.splitter']"  # a prime above the cap
     assert served == "True ['quasiprime.oracle', 'quasiprime.splitter']"  # loaded on first access only
     # the oracle's names bound in the package, as an eager import left them; numerics' not yet
     assert unbound == str(sorted(import_module("quasiprime.numerics").__all__))
