@@ -1,6 +1,6 @@
 """The benchmark harness behind `qprime bench`: the staged pipeline against
-trial division.  Only the bench command imports it, so no other command
-compiles it.
+trial division, and the command's arguments and handler.  Only the bench
+command imports it, so no other command compiles it.
 """
 
 from __future__ import annotations
@@ -9,7 +9,9 @@ import time
 from collections import namedtuple
 
 from . import oracle, pipeline
+from .commands import _format_rejections_text
 from .errors import ConsistencyError, require_limit
+from .shell import _emit
 
 BENCH_LIMIT_CAP = 10**7
 
@@ -64,3 +66,21 @@ def bench(limit: int) -> BenchReport:
         per_stage_rejections=dict(density.per_stage_rejections),
         notes="wall-clock timings on this machine only; no speedup is asserted",
     )
+
+
+def declare_bench(p):
+    p.add_argument("--limit", type=int, required=True)
+    return _cmd_bench
+
+
+def _cmd_bench(args) -> int:
+    report = bench(args.limit)
+    payload = report.to_json_dict()
+    text = (
+        f"limit {report.limit}: staged pipeline {report.pipeline_seconds:.3f}s, "
+        f"trial division {report.trial_division_seconds:.3f}s, "
+        f"{report.primes_found} primes, survivor fraction {report.fraction:.4f}\n"
+        f"{_format_rejections_text(payload['per_stage_rejections'])}\nnote: {report.notes}"
+    )
+    _emit(payload, text, args.json)
+    return 0

@@ -7,11 +7,19 @@ command renders text by default and JSON under --json.  Exit codes:
 `qprime ... | head -1`.  Verify exits 1 when mismatches exist.
 
 Each qprime process compiles what it imports, so a command loads only what
-it runs: the wheel emitter and the bench harness are modules of their own,
-which only `wheel` and `bench` load (shell serves their names on first
-access); the sieve oracle loads for wheel, verify and bench; numerics, the
-digital-root and wheel algebra, for wheel; the splitter for the first n above
-the table cap with no axis prime up to 1531 as a factor; json for --json.
+it runs.  The parser registers all seven commands by name and help line,
+which is all the top-level usage and help print, and builds the arguments
+and handler of only the command that argv names (of all seven when it names
+none).  shell holds prime's and factor's; each other command's live in the
+module that COMMANDS names, loaded only with it: wheel's in `wheel`, bench's
+in `bench`, and qgrid's, verify's and density's in `commands`.  shell serves
+the names that moved on first access.  The sieve oracle loads for wheel,
+verify and bench; numerics, the digital-root and wheel algebra, for wheel;
+the splitter for the first n above the table cap with no axis prime up to
+1531 as a factor.  --json output is written here, byte for byte as
+json.dumps, for None, bools, ints, finite floats, printable ASCII strings
+with no quote or backslash, lists, tuples and dicts with such keys; json
+loads only for any other value.
 """
 
 from __future__ import annotations
@@ -26,11 +34,24 @@ from .pipeline import SearchStrategy, VerdictKind
 
 MAX_LIMIT_ENV = "QP_MAX_LIMIT"
 
-# Names that moved to the modules of the two commands that use them, served
-# on first access (PEP 562), so that importing shell compiles neither.
+# Each command's help line, and the module whose `declare_<command>` adds
+# its arguments to its subparser and returns its handler.
+COMMANDS = {
+    "prime": ("staged primality verdict for N", __name__),
+    "factor": ("full prime factorization of N", __name__),
+    "qgrid": ("display a rectangular region of the grid", ".commands"),
+    "wheel": ("render an s-sided wheel to SVG", ".wheel"),
+    "verify": ("check the pipeline against the sieve oracle", ".commands"),
+    "bench": ("time the pipeline against trial division", ".bench"),
+    "density": ("prefilter survivor fraction up to a limit", ".commands"),
+}
+
+# Names that moved to the modules of the commands that use them, served on
+# first access (PEP 562), so that importing shell compiles none of them.
 _MOVED = {
     **dict.fromkeys(("WheelRender", "build_wheel_render", "emit_wheel_svg", "WHEEL_LIMIT_CAP"), "wheel"),
     **dict.fromkeys(("BenchReport", "bench", "BENCH_LIMIT_CAP"), "bench"),
+    "format_region_text": "commands",
 }
 
 
@@ -48,18 +69,6 @@ def __dir__() -> list[str]:
 
 # --------------------------------------------------------------------------
 # text rendering helpers
-
-
-def format_region_text(row_axis: list[int], col_axis: list[int], values: list[list[int]]) -> str:
-    width = max(len(str(v)) for row in values for v in row)
-    width = max(width, max(len(str(v)) for v in row_axis + col_axis))
-    head = " " * (width + 2) + " ".join(str(c).rjust(width) for c in col_axis)
-    lines = [head, " " * (width + 2) + "-" * (len(head) - width - 2)]
-    for label, row in zip(row_axis, values):
-        lines.append(
-            str(label).rjust(width) + " |" + " ".join(str(v).rjust(width) for v in row)
-        )
-    return "\n".join(lines)
 
 
 def _format_verdict_text(v: pipeline.PrimalityVerdict) -> str:
@@ -87,23 +96,54 @@ def _format_factors_text(n: int, factors: list[int]) -> str:
     return f"{n} = " + " × ".join(runs) + tail
 
 
-def _format_rejections_text(counts: dict[str, int]) -> str:
-    return "rejections: " + ", ".join(f"{name}={count}" for name, count in counts.items())
+# --------------------------------------------------------------------------
+# JSON
+
+_INF = float("inf")
+
+
+def _json(value) -> str:
+    """json.dumps(value) with its defaults, written here for the types the
+    payloads hold, so that a --json run need not import json: None, bools,
+    exact ints, finite floats, strings of printable ASCII with no quote or
+    backslash, lists, tuples and dicts with such strings as keys.  Any other
+    value, such as a string that needs an escape or a non-finite float, is
+    written by json.dumps itself."""
+    kind = type(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if kind is int:
+        return repr(value)
+    if kind is float:
+        if -_INF < value < _INF:
+            return repr(value)
+    elif kind is str:
+        if _plain(value):
+            return f'"{value}"'
+    elif kind is list or kind is tuple:
+        return "[" + ", ".join(map(_json, value)) + "]"
+    elif kind is dict and all(type(key) is str and _plain(key) for key in value):
+        return "{" + ", ".join(f'"{key}": {_json(item)}' for key, item in value.items()) + "}"
+    import json
+
+    return json.dumps(value)
+
+
+def _plain(text: str) -> bool:
+    """Whether json.dumps writes text as it is, between quotes."""
+    return text.isascii() and text.isprintable() and '"' not in text and "\\" not in text
+
+
+def _emit(payload: dict, text: str, as_json: bool) -> None:
+    print(_json(payload) if as_json else text)
 
 
 # --------------------------------------------------------------------------
 # CLI
-
-
-def _parse_range(text: str) -> tuple[int, int]:
-    """Parse 'A..B' (or a bare 'A') into an inclusive pair."""
-    lo, sep, hi = text.partition("..")
-    try:
-        a = int(lo)
-        b = int(hi) if sep else a
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected A..B, got {text!r}")
-    return a, b
 
 
 def _check_env_cap(limit: int) -> None:
@@ -118,64 +158,36 @@ def _check_env_cap(limit: int) -> None:
         raise ResourceLimitError(f"limit {limit} exceeds {MAX_LIMIT_ENV}={cap}")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The qprime parser, with `command`'s arguments and handler, or every
+    command's when `command` names none.  The others are registered by name
+    and help line only, and their modules are not loaded."""
+    from importlib import import_module
+
     parser = argparse.ArgumentParser(
         prog="qprime",
         description="Wheel, digital-root and quasi-prime-grid primality toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def finish(p, run):
-        """Give a subcommand its --json flag and the handler that runs it."""
-        p.add_argument("--json", action="store_true", help="emit JSON instead of text")
-        p.set_defaults(run=run)
-
-    p = sub.add_parser("prime", help="staged primality verdict for N")
-    p.add_argument("n", type=int)
-    p.add_argument("--strategy", choices=[s.value for s in SearchStrategy], default="asc")
-    p.add_argument("--quiet", action="store_true", help="no output; exit 0 prime, 1 composite")
-    finish(p, _cmd_prime)
-
-    p = sub.add_parser("factor", help="full prime factorization of N")
-    p.add_argument("n", type=int)
-    finish(p, _cmd_factor)
-
-    p = sub.add_parser("qgrid", help="display a rectangular region of the grid")
-    p.add_argument("--rows", type=_parse_range, required=True, metavar="A..B")
-    p.add_argument("--cols", type=_parse_range, required=True, metavar="C..D")
-    finish(p, _cmd_qgrid)
-
-    p = sub.add_parser("wheel", help="render an s-sided wheel to SVG")
-    p.add_argument("--sides", type=int, default=24)
-    p.add_argument("--limit", type=int, required=True)
-    p.add_argument("--out", required=True, metavar="FILE.svg")
-    finish(p, _cmd_wheel)
-
-    p = sub.add_parser("verify", help="check the pipeline against the sieve oracle")
-    p.add_argument("--limit", type=int, required=True)
-    p.add_argument("--strategy", choices=[s.value for s in SearchStrategy], default="asc")
-    p.add_argument("--factor-stride", type=int, default=101,
-                   help="also cross-factorize every k-th n (0 disables)")
-    finish(p, _cmd_verify)
-
-    p = sub.add_parser("bench", help="time the pipeline against trial division")
-    p.add_argument("--limit", type=int, required=True)
-    finish(p, _cmd_bench)
-
-    p = sub.add_parser("density", help="prefilter survivor fraction up to a limit")
-    p.add_argument("--limit", type=int, required=True)
-    finish(p, _cmd_density)
-
+    for name, (help_line, home) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        if command == name or command not in COMMANDS:
+            run = getattr(import_module(home, __package__), f"declare_{name}")(p)
+            p.add_argument("--json", action="store_true", help="emit JSON instead of text")
+            p.set_defaults(run=run)
     return parser
 
 
-def _emit(payload: dict, text: str, as_json: bool) -> None:
-    if as_json:
-        import json
+def declare_prime(p):
+    p.add_argument("n", type=int)
+    p.add_argument("--strategy", choices=[s.value for s in SearchStrategy], default="asc")
+    p.add_argument("--quiet", action="store_true", help="no output; exit 0 prime, 1 composite")
+    return _cmd_prime
 
-        print(json.dumps(payload, sort_keys=False))
-    else:
-        print(text)
+
+def declare_factor(p):
+    p.add_argument("n", type=int)
+    return _cmd_factor
 
 
 def _cmd_prime(args) -> int:
@@ -199,91 +211,10 @@ def _cmd_factor(args) -> int:
     return 0
 
 
-def _cmd_qgrid(args) -> int:
-    (i_lo, i_hi), (j_lo, j_hi) = args.rows, args.cols
-    values = qgrid.region(i_lo, i_hi, j_lo, j_hi)
-    payload = {
-        "rows": [i_lo, i_hi],
-        "cols": [j_lo, j_hi],
-        "row_axis": [qgrid.axis_value(i) for i in range(i_lo, i_hi + 1)],
-        "col_axis": [qgrid.axis_value(j) for j in range(j_lo, j_hi + 1)],
-        "values": values,
-    }
-    _emit(payload, format_region_text(payload["row_axis"], payload["col_axis"], values), args.json)
-    return 0
-
-
-def _cmd_wheel(args) -> int:
-    from .wheel import build_wheel_render, emit_wheel_svg
-
-    render = build_wheel_render(args.sides, args.limit)
-    svg = emit_wheel_svg(render)
-    try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(svg)
-    except OSError as exc:  # a bad --out path is the caller's error, not ours
-        raise ValueError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
-    payload = {
-        "sides": render.sides,
-        "limit": render.limit,
-        "rings": render.rings,
-        "highlighted_moduli": sorted(render.highlighted),
-        "out": args.out,
-    }
-    text = (
-        f"wrote {args.out}: {render.sides}-wheel to {render.limit}, "
-        f"{render.rings} rings, spokes {sorted(render.highlighted)} highlighted"
-    )
-    _emit(payload, text, args.json)
-    return 0
-
-
-def _cmd_verify(args) -> int:
-    from . import oracle
-
-    report = oracle.verify_range(
-        args.limit,
-        strategy=SearchStrategy(args.strategy),
-        factor_stride=args.factor_stride,
-    )
-    text = (
-        f"verified [2, {report.limit}] against the sieve: "
-        f"{len(report.mismatches)} primality mismatches, "
-        f"{len(report.factor_mismatches)} factorization mismatches"
-    )
-    _emit(report.to_json_dict(), text, args.json)
-    return 0 if report.ok else 1
-
-
-def _cmd_bench(args) -> int:
-    from .bench import bench
-
-    report = bench(args.limit)
-    payload = report.to_json_dict()
-    text = (
-        f"limit {report.limit}: staged pipeline {report.pipeline_seconds:.3f}s, "
-        f"trial division {report.trial_division_seconds:.3f}s, "
-        f"{report.primes_found} primes, survivor fraction {report.fraction:.4f}\n"
-        f"{_format_rejections_text(payload['per_stage_rejections'])}\nnote: {report.notes}"
-    )
-    _emit(payload, text, args.json)
-    return 0
-
-
-def _cmd_density(args) -> int:
-    report = pipeline.survivor_density(args.limit)
-    payload = report.to_json_dict()
-    text = (
-        f"limit {report.limit}: {report.survivors} survivors, "
-        f"fraction {payload['fraction']:.6f} (4/15 ≈ 0.266667)\n"
-        f"{_format_rejections_text(payload['per_stage_rejections'])}"
-    )
-    _emit(payload, text, args.json)
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse prints usage itself

@@ -1,4 +1,5 @@
-"""The SVG wheel emitter behind `qprime wheel`, checked against the sieve.
+"""The SVG wheel emitter behind `qprime wheel`, checked against the sieve,
+and the command's arguments and handler.
 
 Only the wheel command imports it, so no other command compiles it.
 """
@@ -11,6 +12,7 @@ from collections import namedtuple
 from . import oracle
 from .errors import ConsistencyError, require_limit
 from .numerics import modulus_of, prime_moduli
+from .shell import _emit
 
 WHEEL_LIMIT_CAP = 10**4
 
@@ -101,3 +103,33 @@ def emit_wheel_svg(render: WheelRender) -> str:
     out.append("</g>")
     out.append("</svg>")
     return "\n".join(out) + "\n"
+
+
+def declare_wheel(p):
+    p.add_argument("--sides", type=int, default=24)
+    p.add_argument("--limit", type=int, required=True)
+    p.add_argument("--out", required=True, metavar="FILE.svg")
+    return _cmd_wheel
+
+
+def _cmd_wheel(args) -> int:
+    render = build_wheel_render(args.sides, args.limit)
+    svg = emit_wheel_svg(render)
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(svg)
+    except OSError as exc:  # a bad --out path is the caller's error, not ours
+        raise ValueError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
+    payload = {
+        "sides": render.sides,
+        "limit": render.limit,
+        "rings": render.rings,
+        "highlighted_moduli": sorted(render.highlighted),
+        "out": args.out,
+    }
+    text = (
+        f"wrote {args.out}: {render.sides}-wheel to {render.limit}, "
+        f"{render.rings} rings, spokes {sorted(render.highlighted)} highlighted"
+    )
+    _emit(payload, text, args.json)
+    return 0

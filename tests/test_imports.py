@@ -60,12 +60,13 @@ def test_import_builds_no_table_and_a_small_call_a_small_one():
 
 # What a command does not use stays unloaded: the dataclass machinery (with
 # inspect), fractions (with decimal), json, the sieve oracle, the wheel
-# emitter, the bench harness, the digital-root and wheel algebra, and the
-# splitter, which only an n above the table cap with no factor it names needs.
+# emitter, the bench harness, the other commands' handlers, the digital-root
+# and wheel algebra, and the splitter, which only an n above the table cap
+# with no factor it names needs.
 UNUSED = (
     "dataclasses", "inspect", "fractions", "decimal", "json",
-    "quasiprime.oracle", "quasiprime.wheel", "quasiprime.bench", "quasiprime.numerics",
-    "quasiprime.splitter",
+    "quasiprime.oracle", "quasiprime.wheel", "quasiprime.bench", "quasiprime.commands",
+    "quasiprime.numerics", "quasiprime.splitter",
 )
 
 GUARD_PROBE = """
@@ -111,8 +112,9 @@ def test_import_and_a_quiet_verdict_load_nothing_they_do_not_use():
     assert unbound_numerics == "[]"  # all ten bound by the first
 
 
-# Each command of a fresh qprime process loads the wheel emitter or the bench
-# harness only when it is that command.
+# Each command of a fresh qprime process loads the module that holds its
+# handler only when it is that command, and json only for a value that its
+# own writer leaves to json.dumps: a --out path with a quote in it.
 COMMAND_PROBE = """
 import contextlib, io, runpy, sys
 sys.argv = ["qprime", *sys.argv[1:]]
@@ -121,22 +123,25 @@ with contextlib.redirect_stdout(io.StringIO()):
         runpy.run_module("quasiprime", run_name="__main__", alter_sys=True)
     except SystemExit as exc:
         code = exc.code
-print(code, sorted({"quasiprime.wheel", "quasiprime.bench"} & set(sys.modules)))
+watched = {"json", "quasiprime.commands", "quasiprime.wheel", "quasiprime.bench"}
+print(code, sorted(watched & set(sys.modules)))
 """
 
 
 COMMANDS = [
-    (["prime", "97", "--json"], []),
-    (["factor", "360", "--json"], []),
-    (["qgrid", "--rows", "1..3", "--cols", "1..4", "--json"], []),
-    (["verify", "--limit", "1000", "--json"], []),
-    (["density", "--limit", "1000", "--json"], []),
-    (["wheel", "--limit", "48", "--out", "{tmp}/w.svg", "--json"], ["quasiprime.wheel"]),
-    (["bench", "--limit", "100", "--json"], ["quasiprime.bench"]),
+    pytest.param(["prime", "97", "--json"], [], id="prime"),
+    pytest.param(["factor", "360", "--json"], [], id="factor"),
+    pytest.param(["qgrid", "--rows", "1..3", "--cols", "1..4", "--json"], ["quasiprime.commands"], id="qgrid"),
+    pytest.param(["verify", "--limit", "1000", "--json"], ["quasiprime.commands"], id="verify"),
+    pytest.param(["density", "--limit", "1000", "--json"], ["quasiprime.commands"], id="density"),
+    pytest.param(["wheel", "--limit", "48", "--out", "{tmp}/w.svg", "--json"], ["quasiprime.wheel"], id="wheel"),
+    pytest.param(["bench", "--limit", "100", "--json"], ["quasiprime.bench", "quasiprime.commands"], id="bench"),
+    pytest.param(["wheel", "--limit", "48", "--out", '{tmp}/w"q.svg', "--json"], ["json", "quasiprime.wheel"],
+                 id="wheel-quoted-out"),
 ]
 
 
-@pytest.mark.parametrize("argv, loaded", COMMANDS, ids=[argv[0] for argv, _ in COMMANDS])
+@pytest.mark.parametrize("argv, loaded", COMMANDS)
 def test_each_command_loads_only_its_own_module(tmp_path, argv, loaded):
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     argv = [arg.format(tmp=tmp_path) for arg in argv]
@@ -151,6 +156,7 @@ def test_each_command_loads_only_its_own_module(tmp_path, argv, loaded):
 MOVED = {
     "wheel": ("WheelRender", "build_wheel_render", "emit_wheel_svg", "WHEEL_LIMIT_CAP"),
     "bench": ("BenchReport", "bench", "BENCH_LIMIT_CAP"),
+    "commands": ("format_region_text",),
 }
 
 
@@ -163,7 +169,7 @@ def test_shell_serves_the_names_that_moved(module):
     for name in MOVED[module]:
         assert getattr(shell, name) is getattr(home, name), name
         assert name in listed, name
-    assert "main" in listed and "format_region_text" in listed
+    assert "main" in listed
     with pytest.raises(AttributeError, match="'quasiprime.shell' has no attribute 'no_such_name'"):
         shell.no_such_name
 

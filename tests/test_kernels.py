@@ -1,5 +1,5 @@
-"""The two kernels above the table cap, Miller-Rabin and the Fermat stage,
-against references that share none of their tables.
+"""The kernels above the table cap, Miller-Rabin and the Fermat stage,
+against references that share none of their tables, and rho's retry.
 
 sympy's isprime, without gmpy, uses the very base tables of
 splitter._is_prime_mr below 2**64, so a comparison with it would prove nothing
@@ -9,11 +9,12 @@ and Fermat's method tried at every a.
 """
 
 import random
+import sys
 from math import gcd, isqrt, prod
 
 import pytest
 
-from quasiprime import oracle, qgrid, splitter
+from quasiprime import oracle, pipeline, qgrid, splitter
 
 # psi_4, psi_5, psi_6, psi_7 and psi_9: each passes Miller-Rabin on every one
 # of the first 4, 5, 6, 7 and 9 prime bases, and is composite
@@ -136,6 +137,15 @@ class TestMillerRabin:
         for n in carmichaels:
             assert not reference_is_prime_mr(n) and not splitter._is_prime_mr(n), n
 
+    def test_skips_a_base_that_is_1_mod_n(self):
+        # 141889084524735, a base of the 4-base set, is 1 mod this prime, so
+        # the other three decide it.
+        n = 1649873075869
+        assert splitter._MR_BASE_SETS[0][0] <= n < splitter._MR_BASE_SETS[1][0]
+        assert 141889084524735 in splitter._MR_BASE_SETS[1][1] and 141889084524735 % n == 1
+        assert reference_is_prime_mr(n) and splitter._is_prime_mr(n)
+        assert pipeline.is_prime(n).is_prime
+
     def test_refuses_every_n_with_a_factor_up_to_47(self):
         # the base tables are proven only for n with no such factor, which _split never
         # asks about; Miller-Rabin's own rounds still refuse these
@@ -200,3 +210,38 @@ class TestFermat:
             assert len(rows) == m
             for r, row in enumerate(rows):
                 assert row & (1 << len(span)) - 1 == sum(1 << j for j in span if (j * j - r) % m in squares), (m, r)
+
+
+def rho_constants(call, n):
+    """call(n), and the constant c of x -> x*x + c with which each call of
+    splitter._rho returned, read off its frame."""
+    constants = []
+
+    def on_call(frame, event, arg):
+        return on_event if frame.f_code is splitter._rho.__code__ else None
+
+    def on_event(frame, event, arg):
+        if event == "return":
+            constants.append(frame.f_locals["c"])
+        return on_event
+
+    previous = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        result = call(n)
+    finally:
+        sys.settrace(previous)
+    return result, constants
+
+
+class TestRho:
+    # Each n is p * q above the cap, with p above the axis primes and the pair
+    # past the Fermat stage's reach, so rho splits it.  With c = 1 the cycles
+    # mod p and mod q close at one step, gcd jumps from 1 to n, and rho
+    # retries with c = 2.
+    @pytest.mark.parametrize("n, p, q", [(16314163, 2689, 6067), (21237401, 2657, 7993), (29365513, 3541, 8293)])
+    def test_retries_with_the_next_constant(self, n, p, q):
+        assert n == p * q > qgrid.TABLE_CAP and p > qgrid.AXIS_PRIME_MAX
+        assert splitter._fermat(n, 0, splitter._reach(n)) is None
+        assert rho_constants(splitter._rho, n) in [(p, [2]), (q, [2])]
+        assert rho_constants(pipeline.full_factorize, n) == ([p, q], [2])

@@ -17,6 +17,7 @@ class TestSieve:
 
     def test_one_is_not_prime(self):
         assert not oracle.sieve(10).is_prime(1)
+        assert not any(oracle.trial_is_prime(n) for n in (1, 0, -7))
 
     def test_queries_above_limit_fail(self):
         with pytest.raises(ValueError):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quasiprime import pipeline, shell
+from quasiprime import oracle, pipeline, shell, wheel
 from quasiprime.errors import ConsistencyError, ResourceLimitError
 from quasiprime.pipeline import PrimalityVerdict, SearchStrategy, VerdictKind
 from quasiprime.shell import WheelRender, bench, build_wheel_render, emit_wheel_svg, main
@@ -87,6 +87,31 @@ def test_cli_round_trip(n):
     assert math.prod(factors) == n
     assert verdict.is_prime == (factors == [n])
     assert call("prime", str(n), "--quiet") == (0 if verdict.is_prime else 1, "")
+
+
+# Text with all that json.dumps escapes: quotes, backslashes, control
+# characters, non-ASCII and astral characters, and lone surrogates.
+json_text = st.text(st.characters(exclude_categories=()) | st.sampled_from('"\\\x00\x1f\x7f\u2028'))
+# Leaves of every type the payloads hold, plus what the writer leaves to
+# json.dumps: non-finite floats, str Enums, and keys that are
+# not strings.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**64), 2**64) | st.floats() | json_text
+    | st.sampled_from([SearchStrategy.ASCENDING_SCAN, VerdictKind.PRIME]),
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple)
+    | st.dictionaries(json_text | st.integers() | st.none(), inner),
+)
+
+
+@given(json_values)
+@example({"n": 91, "witness": [7, 13], "stage": "GridSearch", "fraction": 0.266, "ok": True})
+@example([float("nan"), float("inf"), -float("inf"), -0.0, 1e300, 5e-324, 2**64, -(2**64)])
+@example({'"': "\\", "é": "\U0001d11e", "\x7f": (), "": {}})
+def test_emit_writes_what_json_dumps_writes(value):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        shell._emit(value, "text", True)
+    assert out.getvalue() == json.dumps(value) + "\n"
 
 
 class TestFactorCommand:
@@ -205,6 +230,15 @@ class TestWheelCommand:
         assert code == 3
         assert err == "internal error: pipeline and sieve disagree at 49\n"
 
+    def test_a_prime_off_the_prime_moduli_aborts(self, capsys, tmp_path, monkeypatch):
+        # Fault injection: for sides a multiple of 6 every prime above 3 sits on a
+        # prime modulus, so only a wrong modulus_of reaches the check.
+        monkeypatch.setattr(wheel, "modulus_of", lambda n, sides: 0)
+        code, out, err = run(capsys, "wheel", "--limit", "48", "--out", str(tmp_path / "w.svg"))
+        assert (code, out) == (3, "")
+        assert err == "internal error: prime 5 landed off the prime moduli\n"
+        assert not (tmp_path / "w.svg").exists()
+
 
 class TestWheelRendering:
     def test_render_is_deterministic(self):
@@ -260,6 +294,15 @@ class TestBench:
         density = pipeline.survivor_density(500)
         assert report.survivors == density.survivors
         assert report.fraction == float(density.fraction)
+
+    def test_counts_that_differ_abort(self, capsys, monkeypatch):
+        # Fault injection: a trial division that finds no prime.
+        monkeypatch.setattr(oracle, "trial_is_prime", lambda n: False)
+        with pytest.raises(ConsistencyError, match="^pipeline found 25 primes, trial division 0$"):
+            bench(100)
+        code, out, err = run(capsys, "bench", "--limit", "100", "--json")
+        assert (code, out) == (3, "")
+        assert err == "internal error: pipeline found 25 primes, trial division 0\n"
 
     def test_limit_bounds(self):
         with pytest.raises(ValueError):
@@ -395,6 +438,42 @@ class TestUsageAndCaps:
         assert "-h, --help" in out
         for name in self.HELP[command]:
             assert name in out, name
+
+    # main's parser, which builds only the named command's subparser whole,
+    # against one with all seven built, each run in a fresh process at
+    # COLUMNS=80.  They are compared with each other, not with a stored text,
+    # since argparse's wording differs between Python versions.
+    PARSER_PROBE = """
+import sys
+from quasiprime import shell
+if sys.argv[1] == "whole":
+    build = shell.build_parser
+    shell.build_parser = lambda command=None: build()
+sys.exit(shell.main(sys.argv[2:]))
+"""
+    # argv, and the exit code that both parsers give it
+    USAGE = {
+        **{" ".join((*command, "--help")): 0 for command in HELP},
+        "": 2,
+        "frob": 2,
+        "prime": 2,
+        "prime 5 6": 2,
+        "prime x": 2,
+        "factor 5 --bogus": 2,
+        "verify --limit 1000 --strategy up": 2,
+    }
+
+    @pytest.mark.parametrize("argv", list(USAGE), ids=lambda argv: argv or "qprime")
+    def test_help_and_usage_match_the_whole_parser(self, argv):
+        env = {**os.environ, "PYTHONPATH": str(SRC), "COLUMNS": "80"}
+        lazy, whole = (
+            subprocess.run([sys.executable, "-c", self.PARSER_PROBE, parser, *argv.split()],
+                           env=env, capture_output=True, text=True)
+            for parser in ("lazy", "whole")
+        )
+        assert (lazy.returncode, lazy.stdout, lazy.stderr) == (whole.returncode, whole.stdout, whole.stderr)
+        assert lazy.returncode == self.USAGE[argv]
+        assert (lazy.stderr if lazy.returncode else lazy.stdout).startswith("usage: qprime")
 
 
 class TestRegionFormatting:
