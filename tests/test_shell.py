@@ -100,6 +100,7 @@ json_values = st.recursive(
     | st.sampled_from([SearchStrategy.ASCENDING_SCAN, VerdictKind.PRIME]),
     lambda inner: st.lists(inner) | st.lists(inner).map(tuple)
     | st.dictionaries(json_text | st.integers() | st.none(), inner),
+    max_leaves=20,
 )
 
 
