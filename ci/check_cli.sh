@@ -27,6 +27,15 @@ done
 # two lines are compared byte for byte.
 qprime prime 97 --quiet
 test "$(qprime prime 97 --json)" = '{"n": 97, "verdict": "prime", "witness": null, "stage": "GridSearch", "strategy": "asc"}'
+
+# A plain argv is read without argparse; these go through argparse's path
+# and answer as a plain one does: --opt=value, an abbreviation, and a value
+# error, whose usage line is the top-level one.
+qprime prime --strategy=balanced 91 --json | cmp - tests/goldens/prime-91-balanced.json
+test "$(qprime prime --js 97)" = "$(qprime prime 97 --json)"
+code=0; qprime prime 9223372036854775808 2>"$tmp/cap.err" || code=$?; test "$code" -eq 2
+printf '%s\n' 'error: 9223372036854775808 exceeds the 64-bit cap' \
+    'usage: qprime [-h] {prime,factor,qgrid,wheel,verify,bench,density} ...' | cmp - "$tmp/cap.err"
 qprime factor 360 --json
 qprime prime 1000000007 --quiet
 test "$(qprime factor 1000036000099 --json)" = '{"n": 1000036000099, "factors": [1000003, 1000033], "outside_wheel": []}'

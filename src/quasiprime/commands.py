@@ -7,8 +7,6 @@ Only these three commands load it, and bench for the rejection line, so
 
 from __future__ import annotations
 
-import argparse
-
 from . import pipeline, qgrid
 from .pipeline import SearchStrategy
 from .shell import _emit
@@ -37,6 +35,8 @@ def _parse_range(text: str) -> tuple[int, int]:
         a = int(lo)
         b = int(hi) if sep else a
     except ValueError:
+        import argparse
+
         raise argparse.ArgumentTypeError(f"expected A..B, got {text!r}")
     return a, b
 

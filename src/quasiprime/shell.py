@@ -7,26 +7,34 @@ command renders text by default and JSON under --json.  Exit codes:
 `qprime ... | head -1`.  Verify exits 1 when mismatches exist.
 
 Each qprime process compiles what it imports, so a command loads only what
-it runs.  The parser registers all seven commands by name and help line,
-which is all the top-level usage and help print, and builds the arguments
-and handler of only the command that argv names (of all seven when it names
-none).  shell holds prime's and factor's; each other command's live in the
-module that COMMANDS names, loaded only with it: wheel's in `wheel`, bench's
-in `bench`, and qgrid's, verify's and density's in `commands`.  shell serves
-the names that moved on first access.  The sieve oracle loads for wheel,
-verify and bench; numerics, the digital-root and wheel algebra, for wheel;
-the splitter for the first n above the table cap with no axis prime up to
-1531 as a factor.  --json output is written here, byte for byte as
-json.dumps, for None, bools, ints, finite floats, printable ASCII strings
-with no quote or backslash, lists, tuples and dicts with such keys; json
-loads only for any other value.
+it runs.  Each command's arguments are declared once, by its
+`declare_<command>`, and read two ways.  A plain argv (a command, then
+options exactly as declared, each value and N passing its type and
+choices, every required option present) is read by a small reader of the
+same declarations, without argparse.  argparse parses any other argv (help,
+an abbreviation, --opt=value, --, a value or N that starts with -, an
+unknown word, a failing value, a missing N or option), so every help text,
+usage line, error and exit code is its own.  Its parser registers all
+seven commands by name and help line, which is all the top-level usage and
+help print, and builds the arguments and handler of only the first command
+that argv names (of none when it names none).  shell holds prime's and
+factor's; each other command's live in the module that COMMANDS names,
+loaded only with it: wheel's in `wheel`, bench's in `bench`, and qgrid's,
+verify's and density's in `commands`.  shell serves the names that moved
+on first access.  The sieve oracle loads for wheel, verify and bench;
+numerics, the digital-root and wheel algebra, for wheel; the splitter for
+the first n above the table cap with no axis prime up to 1531 as a factor.
+--json output is written here, byte for byte as json.dumps, for None,
+bools, ints, finite floats, printable ASCII strings with no quote or
+backslash, lists, tuples and dicts with such keys; json loads only for any
+other value.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 
 from . import pipeline, qgrid
 from .errors import ConsistencyError, ResourceLimitError
@@ -158,24 +166,110 @@ def _check_env_cap(limit: int) -> None:
         raise ResourceLimitError(f"limit {limit} exceeds {MAX_LIMIT_ENV}={cap}")
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The qprime parser, with `command`'s arguments and handler, or every
-    command's when `command` names none.  The others are registered by name
-    and help line only, and their modules are not loaded."""
-    from importlib import import_module
+def build_parser(*commands: str):
+    """The qprime argparse parser, with the arguments and handlers of
+    `commands`.  Every other command is registered by name and help line
+    only, and its module is not loaded."""
+    import argparse
 
     parser = argparse.ArgumentParser(
         prog="qprime",
         description="Wheel, digital-root and quasi-prime-grid primality toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, home) in COMMANDS.items():
+    for name, (help_line, _) in COMMANDS.items():
         p = sub.add_parser(name, help=help_line)
-        if command == name or command not in COMMANDS:
-            run = getattr(import_module(home, __package__), f"declare_{name}")(p)
-            p.add_argument("--json", action="store_true", help="emit JSON instead of text")
-            p.set_defaults(run=run)
+        if name in commands:
+            _declare(name, p)
     return parser
+
+
+def _declare(command: str, p) -> None:
+    """Add `command`'s arguments and handler to p, a subparser or a _Reader."""
+    from importlib import import_module
+
+    run = getattr(import_module(COMMANDS[command][1], __package__), f"declare_{command}")(p)
+    p.add_argument("--json", action="store_true", help="emit JSON instead of text")
+    p.set_defaults(run=run)
+
+
+class _Reader:
+    """One command's declarations, recorded as argparse's subparser takes
+    them, and a parser for the argv in which every word is plain."""
+
+    def __init__(self) -> None:
+        self.options: dict[str, tuple] = {}  # option string -> (dest, type, choices, takes a value)
+        self.positionals: list[tuple] = []  # (dest, type)
+        self.defaults: dict[str, object] = {}
+        self.required: set[str] = set()
+
+    def add_argument(self, name, *, action=None, type=None, choices=None, default=None,
+                     required=False, help=None, metavar=None):
+        if action not in (None, "store_true"):
+            raise TypeError(f"the reader has no action {action!r}")
+        if not name.startswith("-"):
+            self.positionals.append((name, type))
+            self.defaults[name] = None
+            return
+        dest = name.lstrip("-").replace("-", "_")
+        self.options[name] = (dest, type, choices, action is None)
+        self.defaults[dest] = False if action else default
+        if required:
+            self.required.add(dest)
+
+    def set_defaults(self, **defaults) -> None:
+        self.defaults.update(defaults)
+
+    def read(self, command: str, words: list[str]):
+        """The namespace argparse would return for [command, *words], or
+        None where argparse must parse them."""
+        values: dict[str, object] = {}
+        plain: list[str] = []
+        words = iter(words)
+        # A type refusing a word raises whatever it raises; argparse, parsing
+        # the same word again, reports it (or raises it) in its own words.
+        try:
+            for word in words:
+                if not word.startswith("-"):
+                    plain.append(word)
+                    continue
+                if word not in self.options:
+                    return None
+                dest, kind, choices, takes_value = self.options[word]
+                if not takes_value:
+                    values[dest] = True
+                    continue
+                word = next(words, "-")
+                if word.startswith("-"):
+                    return None
+                values[dest] = _value(kind, choices, word)
+            if len(plain) != len(self.positionals) or not self.required <= values.keys():
+                return None
+            for (dest, kind), word in zip(self.positionals, plain):
+                values[dest] = _value(kind, None, word)
+            # argparse passes a string default through the option's type
+            for dest, kind, _, _ in self.options.values():
+                if dest not in values and isinstance(self.defaults[dest], str):
+                    values[dest] = _value(kind, None, self.defaults[dest])
+        except Exception:
+            return None
+        return SimpleNamespace(command=command, **{**self.defaults, **values})
+
+
+def _value(kind, choices, word: str):
+    value = kind(word) if kind else word
+    if choices is not None and value not in choices:
+        raise ValueError(word)
+    return value
+
+
+def _read(argv: list[str]):
+    """argv read without argparse when every word of it is plain, else None."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    reader = _Reader()
+    _declare(argv[0], reader)
+    return reader.read(argv[0], argv[1:])
 
 
 def declare_prime(p):
@@ -214,11 +308,15 @@ def _cmd_factor(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser(argv[0] if argv else None)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse prints usage itself
-        return int(exc.code or 0)
+    args = _read(argv)
+    if args is None:
+        # argparse dispatches to the subparser of the first word that names a
+        # command, if any, so that subparser is the only one it needs whole.
+        parser = build_parser(*[word for word in argv if word in COMMANDS][:1])
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:  # argparse prints usage itself
+            return int(exc.code or 0)
     try:
         if hasattr(args, "limit"):  # wheel, verify, bench and density
             _check_env_cap(args.limit)
@@ -236,7 +334,7 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except ValueError as exc:  # domain and resource errors are usage errors
         print(f"error: {exc}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
+        build_parser().print_usage(sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {exc}", file=sys.stderr)

@@ -59,12 +59,13 @@ def test_import_builds_no_table_and_a_small_call_a_small_one():
 
 
 # What a command does not use stays unloaded: the dataclass machinery (with
-# inspect), fractions (with decimal), json, the sieve oracle, the wheel
+# inspect), fractions (with decimal), json, argparse (with gettext and
+# locale), which a plain argv does not need, the sieve oracle, the wheel
 # emitter, the bench harness, the other commands' handlers, the digital-root
 # and wheel algebra, and the splitter, which only an n above the table cap
 # with no factor it names needs.
 UNUSED = (
-    "dataclasses", "inspect", "fractions", "decimal", "json",
+    "dataclasses", "inspect", "fractions", "decimal", "json", "argparse", "gettext", "locale",
     "quasiprime.oracle", "quasiprime.wheel", "quasiprime.bench", "quasiprime.commands",
     "quasiprime.numerics", "quasiprime.splitter",
 )
@@ -81,7 +82,7 @@ sys.argv = ["qprime", "prime", "91", "--quiet"]
 try:
     runpy.run_module("quasiprime", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
-    print(exc.code, "json" in sys.modules)
+    print(exc.code, sorted(unused & set(sys.modules) - before))
 quasiprime.is_prime(1009 * 1000000007)
 print(sorted(unused & set(sys.modules) - before))
 quasiprime.is_prime(1000000007)
@@ -102,7 +103,7 @@ def test_import_and_a_quiet_verdict_load_nothing_they_do_not_use():
      unbound_numerics) = result.stdout.splitlines()
     assert package == "[]"
     assert shell == "[]"
-    assert quiet == "1 False"  # 91 = 7 × 13 is composite
+    assert quiet == "1 []"  # 91 = 7 × 13 is composite
     assert table_factor == "[]"  # above the cap, but its least factor is a table prime
     assert above_cap == "['quasiprime.splitter']"  # a prime above the cap
     assert served == "True ['quasiprime.oracle', 'quasiprime.splitter']"  # loaded on first access only
@@ -113,8 +114,10 @@ def test_import_and_a_quiet_verdict_load_nothing_they_do_not_use():
 
 
 # Each command of a fresh qprime process loads the module that holds its
-# handler only when it is that command, and json only for a value that its
-# own writer leaves to json.dumps: a --out path with a quote in it.
+# handler only when it is that command, json only for a value that its own
+# writer leaves to json.dumps (a --out path with a quote in it), and argparse
+# only for an argv that its reader leaves to argparse: help, or a value that
+# fails its type.  Help of the top level loads no command's module.
 COMMAND_PROBE = """
 import contextlib, io, runpy, sys
 sys.argv = ["qprime", *sys.argv[1:]]
@@ -123,32 +126,40 @@ with contextlib.redirect_stdout(io.StringIO()):
         runpy.run_module("quasiprime", run_name="__main__", alter_sys=True)
     except SystemExit as exc:
         code = exc.code
-watched = {"json", "quasiprime.commands", "quasiprime.wheel", "quasiprime.bench"}
+watched = {"json", "argparse", "gettext", "locale", "quasiprime.commands", "quasiprime.wheel", "quasiprime.bench",
+           "quasiprime.oracle", "quasiprime.numerics"}
 print(code, sorted(watched & set(sys.modules)))
 """
 
+ARGPARSE = ["argparse", "gettext", "locale"]
 
 COMMANDS = [
-    pytest.param(["prime", "97", "--json"], [], id="prime"),
-    pytest.param(["factor", "360", "--json"], [], id="factor"),
-    pytest.param(["qgrid", "--rows", "1..3", "--cols", "1..4", "--json"], ["quasiprime.commands"], id="qgrid"),
-    pytest.param(["verify", "--limit", "1000", "--json"], ["quasiprime.commands"], id="verify"),
-    pytest.param(["density", "--limit", "1000", "--json"], ["quasiprime.commands"], id="density"),
-    pytest.param(["wheel", "--limit", "48", "--out", "{tmp}/w.svg", "--json"], ["quasiprime.wheel"], id="wheel"),
-    pytest.param(["bench", "--limit", "100", "--json"], ["quasiprime.bench", "quasiprime.commands"], id="bench"),
-    pytest.param(["wheel", "--limit", "48", "--out", '{tmp}/w"q.svg', "--json"], ["json", "quasiprime.wheel"],
-                 id="wheel-quoted-out"),
+    pytest.param(["prime", "97", "--json"], 0, [], id="prime"),
+    pytest.param(["factor", "360", "--json"], 0, [], id="factor"),
+    pytest.param(["qgrid", "--rows", "1..3", "--cols", "1..4", "--json"], 0, ["quasiprime.commands"], id="qgrid"),
+    pytest.param(["verify", "--limit", "1000", "--json"], 0, ["quasiprime.commands", "quasiprime.oracle"],
+                 id="verify"),
+    pytest.param(["density", "--limit", "1000", "--json"], 0, ["quasiprime.commands"], id="density"),
+    pytest.param(["wheel", "--limit", "48", "--out", "{tmp}/w.svg", "--json"], 0,
+                 ["quasiprime.numerics", "quasiprime.oracle", "quasiprime.wheel"], id="wheel"),
+    pytest.param(["bench", "--limit", "100", "--json"], 0,
+                 ["quasiprime.bench", "quasiprime.commands", "quasiprime.oracle"], id="bench"),
+    pytest.param(["wheel", "--limit", "48", "--out", '{tmp}/w"q.svg', "--json"], 0,
+                 ["json", "quasiprime.numerics", "quasiprime.oracle", "quasiprime.wheel"], id="wheel-quoted-out"),
+    pytest.param(["--help"], 0, ARGPARSE, id="help"),
+    pytest.param(["qgrid", "--rows", "1..x", "--cols", "1..2"], 2, [*ARGPARSE, "quasiprime.commands"],
+                 id="qgrid-bad-rows"),
 ]
 
 
-@pytest.mark.parametrize("argv, loaded", COMMANDS)
-def test_each_command_loads_only_its_own_module(tmp_path, argv, loaded):
+@pytest.mark.parametrize("argv, code, loaded", COMMANDS)
+def test_each_command_loads_only_its_own_module(tmp_path, argv, code, loaded):
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     result = subprocess.run(
         [sys.executable, "-c", COMMAND_PROBE, *argv], env=env, capture_output=True, text=True, check=True
     )
-    assert result.stdout == f"0 {loaded}\n"
+    assert result.stdout == f"{code} {sorted(loaded)}\n"
 
 
 # The names that moved out of shell into the modules of the commands that use

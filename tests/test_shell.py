@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -135,10 +136,14 @@ class TestFactorCommand:
 
 
 @pytest.mark.parametrize("command", ["prime", "factor"])
-def test_input_above_the_cap_is_a_usage_error(capsys, command):
+def test_input_above_the_cap_is_a_usage_error(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
     code, out, err = run(capsys, command, "9223372036854775808")
     assert code == 2 and out == ""
-    assert err.startswith("error: 9223372036854775808 exceeds the 64-bit cap\n")
+    assert err == (
+        "error: 9223372036854775808 exceeds the 64-bit cap\n"
+        "usage: qprime [-h] {prime,factor,qgrid,wheel,verify,bench,density} ...\n"
+    )
 
 
 class TestQgridCommand:
@@ -440,16 +445,18 @@ class TestUsageAndCaps:
         for name in self.HELP[command]:
             assert name in out, name
 
-    # main's parser, which builds only the named command's subparser whole,
-    # against one with all seven built, each run in a fresh process at
-    # COLUMNS=80.  They are compared with each other, not with a stored text,
-    # since argparse's wording differs between Python versions.
+    # main, which reads a plain argv itself and otherwise builds only the
+    # subparser of the first command argv names, against argparse alone with
+    # all seven subparsers built, each run in a fresh process at COLUMNS=80.
+    # They are compared with each other, not with a stored text, since
+    # argparse's wording differs between Python versions.
     PARSER_PROBE = """
 import sys
 from quasiprime import shell
 if sys.argv[1] == "whole":
     build = shell.build_parser
-    shell.build_parser = lambda command=None: build()
+    shell.build_parser = lambda *commands: build(*shell.COMMANDS)
+    shell._read = lambda argv: None
 sys.exit(shell.main(sys.argv[2:]))
 """
     # argv, and the exit code that both parsers give it
@@ -462,6 +469,10 @@ sys.exit(shell.main(sys.argv[2:]))
         "prime x": 2,
         "factor 5 --bogus": 2,
         "verify --limit 1000 --strategy up": 2,
+        "--json prime 5": 2,
+        "-h prime": 0,
+        "frob --help": 2,
+        "--json": 2,
     }
 
     @pytest.mark.parametrize("argv", list(USAGE), ids=lambda argv: argv or "qprime")
@@ -476,6 +487,84 @@ sys.exit(shell.main(sys.argv[2:]))
         assert lazy.returncode == self.USAGE[argv]
         assert (lazy.stderr if lazy.returncode else lazy.stdout).startswith("usage: qprime")
 
+
+
+# Each command's options, each with a value it accepts (None for a flag), and
+# how many N it takes, written out here rather than read off the parser.
+DECLARED = {
+    "prime": ({"--strategy": "balanced", "--quiet": None, "--json": None}, 1),
+    "factor": ({"--json": None}, 1),
+    "qgrid": ({"--rows": "1..3", "--cols": "97", "--json": None}, 0),
+    "wheel": ({"--sides": "97", "--limit": "97", "--out": "x", "--json": None}, 0),
+    "verify": ({"--limit": "97", "--strategy": "asc", "--factor-stride": "97", "--json": None}, 0),
+    "bench": ({"--limit": "97", "--json": None}, 0),
+    "density": ({"--limit": "97", "--json": None}, 0),
+}
+# Values that pass or fail each type and choice, and words that only argparse reads.
+VALUES = ["97", "-5", "x", "1..3", "3..x", "asc", "balanced", "up"]
+DECLINED = ["--js", "--strategy=asc", "--", "-h"]
+
+
+@st.composite
+def command_lines(draw, commands=tuple(DECLARED)):
+    """A command's argv: each option absent, once or twice, with a value it
+    accepts or any of VALUES, one N too few or too many now and then, in any
+    order, and now and then a declined word."""
+    command = draw(st.sampled_from(commands))
+    options, n_count = DECLARED[command]
+    units = []
+    for option, accepted in options.items():
+        for _ in range(draw(st.integers(0, 2))):
+            value = [] if accepted is None else [draw(st.just(accepted) | st.sampled_from(VALUES))]
+            units.append([option, *value])
+    for _ in range(draw(st.sampled_from([n_count] * 4 + [max(n_count - 1, 0), n_count + 1]))):
+        units.append([draw(st.just("97") | st.sampled_from(VALUES))])
+    words = [word for unit in draw(st.permutations(units)) for word in unit]
+    if draw(st.integers(0, 3)) == 0:
+        words.insert(draw(st.integers(0, len(words))), draw(st.sampled_from(DECLINED)))
+    return [command, *words]
+
+
+# Where the reader reads an argv, it reads what argparse reads.
+@given(command_lines())
+@example(["prime", "97", "--strategy", "balanced", "--json"])
+@example(["factor", "--json", "97"])
+@example(["qgrid", "--cols", "97", "--rows", "1..3", "--rows", "97"])
+@example(["wheel", "--out", "x", "--limit", "97", "--sides", "97"])
+@example(["wheel", "--out", "--js", "--limit", "97"])
+@example(["verify", "--factor-stride", "97", "--limit", "97", "--strategy", "balanced"])
+@example(["bench", "--limit", "97"])
+@example(["density", "--json", "--limit", "97", "--json"])
+@settings(max_examples=400, deadline=None)
+def test_the_reader_reads_what_argparse_reads(argv):
+    read = shell._read(argv)
+    if read is not None:
+        try:
+            parsed = shell.build_parser(argv[0]).parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"argparse refuses {argv}, which the reader read")
+        assert vars(read) == vars(parsed)
+
+
+def run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+# prime and factor answer alike with the reader and with argparse alone: the
+# same exit code, stdout and stderr.
+@given(command_lines(("prime", "factor")))
+@example(["prime", "--strategy", "up", "97"])
+@example(["factor", "-5"])
+@example(["prime", "97", "--js"])
+@settings(max_examples=200, deadline=None)
+def test_main_answers_alike_with_and_without_the_reader(argv):
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        with_reader = run_main(argv)
+        with mock.patch.object(shell, "_read", return_value=None):
+            assert run_main(argv) == with_reader
 
 class TestRegionFormatting:
     def test_header_and_rows(self):
