@@ -559,6 +559,7 @@ def run_main(argv):
 @example(["prime", "--strategy", "up", "97"])
 @example(["factor", "-5"])
 @example(["prime", "97", "--js"])
+@example(["factor", "9223372036854775808"])
 @settings(max_examples=200, deadline=None)
 def test_main_answers_alike_with_and_without_the_reader(argv):
     with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
