@@ -11,7 +11,6 @@ from collections import namedtuple
 from . import oracle, pipeline
 from .commands import _format_rejections_text
 from .errors import ConsistencyError, require_limit
-from .shell import _emit
 
 BENCH_LIMIT_CAP = 10**7
 
@@ -73,7 +72,7 @@ def declare_bench(p):
     return _cmd_bench
 
 
-def _cmd_bench(args) -> int:
+def _cmd_bench(args) -> tuple:
     report = bench(args.limit)
     payload = report.to_json_dict()
     text = (
@@ -82,5 +81,4 @@ def _cmd_bench(args) -> int:
         f"{report.primes_found} primes, survivor fraction {report.fraction:.4f}\n"
         f"{_format_rejections_text(payload['per_stage_rejections'])}\nnote: {report.notes}"
     )
-    _emit(payload, text, args.json)
-    return 0
+    return 0, payload, text

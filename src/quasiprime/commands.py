@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from . import pipeline, qgrid
 from .pipeline import SearchStrategy
-from .shell import _emit
 
 
 def format_region_text(row_axis: list[int], col_axis: list[int], values: list[list[int]]) -> str:
@@ -60,7 +59,7 @@ def declare_density(p):
     return _cmd_density
 
 
-def _cmd_qgrid(args) -> int:
+def _cmd_qgrid(args) -> tuple:
     (i_lo, i_hi), (j_lo, j_hi) = args.rows, args.cols
     values = qgrid.region(i_lo, i_hi, j_lo, j_hi)
     payload = {
@@ -70,11 +69,10 @@ def _cmd_qgrid(args) -> int:
         "col_axis": [qgrid.axis_value(j) for j in range(j_lo, j_hi + 1)],
         "values": values,
     }
-    _emit(payload, format_region_text(payload["row_axis"], payload["col_axis"], values), args.json)
-    return 0
+    return 0, payload, format_region_text(payload["row_axis"], payload["col_axis"], values)
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple:
     from . import oracle
 
     report = oracle.verify_range(
@@ -87,11 +85,10 @@ def _cmd_verify(args) -> int:
         f"{len(report.mismatches)} primality mismatches, "
         f"{len(report.factor_mismatches)} factorization mismatches"
     )
-    _emit(report.to_json_dict(), text, args.json)
-    return 0 if report.ok else 1
+    return (0 if report.ok else 1), report.to_json_dict(), text
 
 
-def _cmd_density(args) -> int:
+def _cmd_density(args) -> tuple:
     report = pipeline.survivor_density(args.limit)
     payload = report.to_json_dict()
     text = (
@@ -99,5 +96,4 @@ def _cmd_density(args) -> int:
         f"fraction {payload['fraction']:.6f} (4/15 ≈ 0.266667)\n"
         f"{_format_rejections_text(payload['per_stage_rejections'])}"
     )
-    _emit(payload, text, args.json)
-    return 0
+    return 0, payload, text

@@ -24,10 +24,14 @@ verify's and density's in `commands`.  shell serves the names that moved
 on first access.  The sieve oracle loads for wheel, verify and bench;
 numerics, the digital-root and wheel algebra, for wheel; the splitter for
 the first n above the table cap with no axis prime up to 1531 as a factor.
---json output is written here, byte for byte as json.dumps, for None,
-bools, ints, finite floats, printable ASCII strings with no quote or
-backslash, lists, tuples and dicts with such keys; json loads only for any
-other value.
+
+Each handler returns its answer, (exit code, payload, text), and writes
+nothing; `main` alone writes it, the payload as JSON under --json and the
+text otherwise, so no command's module imports shell.  A payload of None
+(prime --quiet) is written as nothing.  The JSON is written here, byte for
+byte as json.dumps, for None, bools, ints, finite floats, printable ASCII
+strings with no quote or backslash, lists, tuples and dicts with such keys;
+json loads only for any other value.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ import os
 import sys
 from types import SimpleNamespace
 
-from . import pipeline, qgrid
+from . import pipeline
 from .errors import ConsistencyError, ResourceLimitError
 from .pipeline import SearchStrategy, VerdictKind
 
@@ -79,29 +83,28 @@ def __dir__() -> list[str]:
 # text rendering helpers
 
 
-def _format_verdict_text(v: pipeline.PrimalityVerdict) -> str:
-    if v.kind is VerdictKind.INVALID:
-        return f"{v.n} is neither prime nor composite"
-    if v.kind is VerdictKind.PRIME_SPECIAL_SMALL:
-        return f"{v.n} is prime (2 and 3 sit outside the wheel pattern)"
-    if v.kind is VerdictKind.PRIME:
-        return f"{v.n} is prime (decided by {v.deciding_stage.value})"
-    if isinstance(v.witness, qgrid.GridCoordinate):
-        a, b = v.witness.axis_values
-        proof = f"{a} × {b}"
-    else:
-        proof = f"divisible by {v.witness}"
-    return f"{v.n} is composite: {proof} (decided by {v.deciding_stage.value})"
+def _format_verdict_text(payload: dict) -> str:
+    n, kind, stage = payload["n"], payload["verdict"], payload["stage"]
+    if kind == VerdictKind.INVALID:
+        return f"{n} is neither prime nor composite"
+    if kind == VerdictKind.PRIME_SPECIAL_SMALL:
+        return f"{n} is prime (2 and 3 sit outside the wheel pattern)"
+    if kind == VerdictKind.PRIME:
+        return f"{n} is prime (decided by {stage})"
+    witness = payload["witness"]  # 2, 3 or a cell's axis pair
+    proof = " × ".join(map(str, witness)) if type(witness) is list else f"divisible by {witness}"
+    return f"{n} is composite: {proof} (decided by {stage})"
 
 
-def _format_factors_text(n: int, factors: list[int]) -> str:
+def _format_factors_text(payload: dict) -> str:
+    factors = payload["factors"]
     runs: list[str] = []
     for p in sorted(set(factors)):
         k = factors.count(p)
         runs.append(f"{p}^{k}" if k > 1 else str(p))
-    off = [p for p in factors if p in (2, 3)]
+    off = payload["outside_wheel"]
     tail = f"  (factors {off} lie off the quasi-prime wheel)" if off else ""
-    return f"{n} = " + " × ".join(runs) + tail
+    return f"{payload['n']} = " + " × ".join(runs) + tail
 
 
 # --------------------------------------------------------------------------
@@ -144,10 +147,6 @@ def _json(value) -> str:
 def _plain(text: str) -> bool:
     """Whether json.dumps writes text as it is, between quotes."""
     return text.isascii() and text.isprintable() and '"' not in text and "\\" not in text
-
-
-def _emit(payload: dict, text: str, as_json: bool) -> None:
-    print(_json(payload) if as_json else text)
 
 
 # --------------------------------------------------------------------------
@@ -247,10 +246,6 @@ class _Reader:
                 return None
             for (dest, kind), word in zip(self.positionals, plain):
                 values[dest] = _value(kind, None, word)
-            # argparse passes a string default through the option's type
-            for dest, kind, _, _ in self.options.values():
-                if dest not in values and isinstance(self.defaults[dest], str):
-                    values[dest] = _value(kind, None, self.defaults[dest])
         except Exception:
             return None
         return SimpleNamespace(command=command, **{**self.defaults, **values})
@@ -284,25 +279,24 @@ def declare_factor(p):
     return _cmd_factor
 
 
-def _cmd_prime(args) -> int:
+def _cmd_prime(args) -> tuple:
     verdict = pipeline.is_prime(args.n, SearchStrategy(args.strategy))
     if args.quiet:
         if verdict.kind is VerdictKind.INVALID:
-            return 2
-        return 0 if verdict.is_prime else 1
-    _emit(verdict.to_json_dict(), _format_verdict_text(verdict), args.json)
-    return 0
+            return 2, None, None
+        return (0 if verdict.is_prime else 1), None, None
+    payload = verdict.to_json_dict()
+    return 0, payload, _format_verdict_text(payload)
 
 
-def _cmd_factor(args) -> int:
+def _cmd_factor(args) -> tuple:
     factors = pipeline.full_factorize(args.n)
     payload = {
         "n": args.n,
         "factors": factors,
         "outside_wheel": [p for p in factors if p in (2, 3)],
     }
-    _emit(payload, _format_factors_text(args.n, factors), args.json)
-    return 0
+    return 0, payload, _format_factors_text(payload)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -320,7 +314,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if hasattr(args, "limit"):  # wheel, verify, bench and density
             _check_env_cap(args.limit)
-        code = args.run(args)
+        code, payload, text = args.run(args)
+        if payload is not None:
+            print(_json(payload) if args.json else text)
         sys.stdout.flush()  # so that a closed pipe raises here, not at exit
         return code
     except BrokenPipeError:
@@ -336,10 +332,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         build_parser().print_usage(sys.stderr)
         return 2
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -12,7 +12,6 @@ from collections import namedtuple
 from . import oracle
 from .errors import ConsistencyError, require_limit
 from .numerics import modulus_of, prime_moduli
-from .shell import _emit
 
 WHEEL_LIMIT_CAP = 10**4
 
@@ -112,7 +111,7 @@ def declare_wheel(p):
     return _cmd_wheel
 
 
-def _cmd_wheel(args) -> int:
+def _cmd_wheel(args) -> tuple:
     render = build_wheel_render(args.sides, args.limit)
     svg = emit_wheel_svg(render)
     try:
@@ -131,5 +130,4 @@ def _cmd_wheel(args) -> int:
         f"wrote {args.out}: {render.sides}-wheel to {render.limit}, "
         f"{render.rings} rings, spokes {sorted(render.highlighted)} highlighted"
     )
-    _emit(payload, text, args.json)
-    return 0
+    return 0, payload, text

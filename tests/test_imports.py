@@ -162,6 +162,27 @@ def test_each_command_loads_only_its_own_module(tmp_path, argv, code, loaded):
     assert result.stdout == f"{code} {sorted(loaded)}\n"
 
 
+# Each handler returns its answer and shell.main alone writes it, so no
+# command's module imports shell.
+SHELL_PROBE = """
+import sys
+from importlib import import_module
+import quasiprime
+import_module(sys.argv[1])
+print("quasiprime.shell" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("module", ["commands", "wheel", "bench"])
+def test_no_command_module_loads_shell(module):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    result = subprocess.run(
+        [sys.executable, "-c", SHELL_PROBE, f"quasiprime.{module}"], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert result.stdout == "False\n"
+
+
 # The names that moved out of shell into the modules of the commands that use
 # them, each still served by shell as the same object and listed by dir().
 MOVED = {

@@ -634,6 +634,13 @@ class TestLeastFactorTable:
         qgrid.axis_divisor(above)  # above the cap: no table
         assert built_blocks() == [0, last]
 
+    def test_the_least_divisor_above_the_cap_loads_the_splitter(self, monkeypatch):
+        # In a fresh process the first n above the cap with no small factor
+        # loads the splitter into its empty slot; here the slot is emptied.
+        monkeypatch.setattr(qgrid, "_splitter", None)
+        assert is_prime(1000000007, SearchStrategy.ASCENDING_SCAN).is_prime
+        assert qgrid._splitter is splitter
+
     def test_the_prime_list_holds_exactly_the_axis_primes(self):
         sympy = pytest.importorskip("sympy")
         # no composite axis value below 41, such as 25 or 35, slips in

@@ -109,11 +109,8 @@ json_values = st.recursive(
 @example({"n": 91, "witness": [7, 13], "stage": "GridSearch", "fraction": 0.266, "ok": True})
 @example([float("nan"), float("inf"), -float("inf"), -0.0, 1e300, 5e-324, 2**64, -(2**64)])
 @example({'"': "\\", "é": "\U0001d11e", "\x7f": (), "": {}})
-def test_emit_writes_what_json_dumps_writes(value):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        shell._emit(value, "text", True)
-    assert out.getvalue() == json.dumps(value) + "\n"
+def test_json_writes_what_json_dumps_writes(value):
+    assert shell._json(value) == json.dumps(value)
 
 
 class TestFactorCommand:
@@ -392,6 +389,13 @@ class TestUsageAndCaps:
             shell._check_env_cap(5000)
         assert type(caught.value) is ValueError
 
+    def test_any_other_failure_is_an_internal_error(self, capsys, monkeypatch):
+        def boom(n, strategy):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(pipeline, "is_prime", boom)
+        assert run(capsys, "prime", "97") == (3, "", "internal error: boom\n")
+
     def test_env_cap_allows_small_limits(self, capsys, monkeypatch):
         monkeypatch.setenv(shell.MAX_LIMIT_ENV, "1000")
         assert run(capsys, "density", "--limit", "900")[0] == 0
@@ -544,6 +548,11 @@ def test_the_reader_reads_what_argparse_reads(argv):
         except SystemExit:
             pytest.fail(f"argparse refuses {argv}, which the reader read")
         assert vars(read) == vars(parsed)
+
+
+def test_the_reader_refuses_an_action_it_cannot_mirror():
+    with pytest.raises(TypeError, match=r"^the reader has no action 'count'$"):
+        shell._Reader().add_argument("--verbose", action="count")
 
 
 def run_main(argv):
