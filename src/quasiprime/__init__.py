@@ -1,15 +1,16 @@
 """Quasi-prime toolkit: digital roots, 6m-wheels, the multiplication grid,
 staged primality testing, grid factorization, and a sieve oracle.
 
-The names of the sieve oracle and of the digital-root and wheel algebra
-(numerics) are served on first access (PEP 562), so a caller that never
-uses one of them never loads its module.
+The names of the sieve oracle, of the digital-root and wheel algebra
+(numerics) and of the grid and prefilter that no verdict runs (explore)
+are served on first access (PEP 562), so a caller that never uses one of
+them never loads its module.
 """
 
 from . import errors, pipeline, qgrid
 from .errors import *
-from .pipeline import *
-from .qgrid import *
+from .pipeline import PrimalityVerdict, SearchStrategy, Stage, VerdictKind, full_factorize, is_prime
+from .qgrid import GridCoordinate, axis_value
 
 __version__ = "0.1.0"
 
@@ -21,6 +22,9 @@ _LAZY = {
     **dict.fromkeys(("TripletClass", "WheelConfig", "admissible_moduli", "digital_root", "dr_add",
                      "dr_mul", "fibonacci_dr_cycle", "modulus_of", "prime_moduli", "triplet_class"),
                     "numerics"),
+    # qgrid's and pipeline's exports that they serve from explore
+    **dict.fromkeys([name for module in (qgrid, pipeline) for name in module.__all__ if name in module._MOVED],
+                    "explore"),
 }
 
 __all__ = [name for name, home in _LAZY.items() if home == "oracle"]

@@ -20,21 +20,44 @@ n with none goes to the splitter (quasiprime.splitter), loaded by the first
 n that needs it: the Fermat stage, Miller-Rabin and rho, in one order, the
 same for both strategies.  The balanced pair, the one nearest the
 reflection line, is read off the prime factors.
+
+What no verdict runs lives in quasiprime.explore and is served here on
+first access (PEP 562): axis_index, grid_value, region and REGION_CELL_CAP,
+contains, quasiprime_tag with QuasiPrimeTag, and diagonal_dr.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from enum import Enum
 from math import gcd, isqrt, prod
 
-from .errors import NotOnPrimeModuliError, ResourceLimitError, require_int, require_limit
+from .errors import ResourceLimitError, require_int
 
 __all__ = ["GridCoordinate", "QuasiPrimeTag", "axis_index", "axis_value", "contains",
            "diagonal_dr", "grid_value", "quasiprime_tag", "region"]
 
+# The names that no verdict runs, held by quasiprime.explore and served here
+# on first access (PEP 562), so that importing qgrid compiles none of them.
+_MOVED = ("QuasiPrimeTag", "axis_index", "contains", "diagonal_dr", "grid_value", "quasiprime_tag", "region",
+          "REGION_CELL_CAP")
+
+
+def __getattr__(name: str):
+    if name not in _MOVED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import explore
+
+    # Bound once, so that later lookups and vars() find every name, as when
+    # they were defined here.
+    globals().update({moved: getattr(explore, moved) for moved in _MOVED})
+    return globals()[name]
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_MOVED})
+
+
 MAX_VALUE = 2**63 - 1  # the input cap of every entry point that takes an n
-REGION_CELL_CAP = 10**4
 # n with isqrt(n) <= AXIS_PRIME_MAX read the table.  Above it, a gcd with
 # _AXIS_PRIMORIAL and a lookup give n's least factor when the table names it;
 # an n with no prime factor up to AXIS_PRIME_MAX goes to the splitter.  A table
@@ -97,20 +120,6 @@ def axis_value(k: int) -> int:
     return v
 
 
-def axis_index(v: int) -> int | None:
-    """Inverse of axis_value; None when v is not on the axis."""
-    if type(v) is not int:
-        require_int(v, "axis value")
-    if v < 5:
-        return None
-    r = v % 6
-    if r == 5:
-        return 2 * ((v + 1) // 6) - 1
-    if r == 1:
-        return 2 * ((v - 1) // 6)
-    return None
-
-
 class GridCoordinate(namedtuple("GridCoordinate", "i j value")):
     """Cell (i, j), i <= j, holding the product of axis values i and j."""
 
@@ -150,19 +159,6 @@ def require_in_cap(n: int) -> None:
         require_int(n, "n")
     if n > MAX_VALUE:
         raise ResourceLimitError(f"{n} exceeds the 64-bit cap")
-
-
-class QuasiPrimeTag(Enum):
-    PRIME_SQUARE = "prime-square"
-    QUASI_PRIME = "quasi-prime"
-
-
-def grid_value(i: int, j: int) -> int:
-    """Product at cell (i, j); symmetric in its arguments."""
-    v = axis_value(i) * axis_value(j)
-    if v > MAX_VALUE:
-        raise ResourceLimitError(f"cell ({i}, {j}) exceeds the 64-bit cap")
-    return v
 
 
 def axis_divisor(n: int, descending: bool = False) -> int | None:
@@ -288,50 +284,3 @@ def _load_splitter() -> None:
     from . import splitter as _splitter
 
 
-def contains(n: int) -> GridCoordinate | None:
-    """Locate n in the grid; None means n is prime.
-
-    Returns the coordinate with the smallest axis divisor, which for a
-    composite n coprime to 6 is its smallest prime factor.
-    """
-    require_in_cap(n)
-    if n < 5 or n % 6 not in (1, 5):
-        raise NotOnPrimeModuliError(f"{n} is not on the 6k±1 moduli")
-    a = axis_divisor(n)
-    if a is None:
-        return None
-    return _cell(a, n)
-
-
-def quasiprime_tag(c: GridCoordinate) -> QuasiPrimeTag:
-    """PrimeSquare for p*p with p prime on the axis, QuasiPrime otherwise."""
-    if c.i == c.j and contains(axis_value(c.i)) is None:
-        return QuasiPrimeTag.PRIME_SQUARE
-    return QuasiPrimeTag.QUASI_PRIME
-
-
-def diagonal_dr(count: int) -> list[int]:
-    """Digital roots of the reflection-line squares, cell (k, k) for k = 1..count.
-
-    A diagonal is cells of the grid, so count is capped like a region.
-    """
-    require_limit(count, "count", 1, REGION_CELL_CAP)
-    from .numerics import digital_root
-
-    return [digital_root(grid_value(k, k)) for k in range(1, count + 1)]
-
-
-def region(i_lo: int, i_hi: int, j_lo: int, j_hi: int) -> list[list[int]]:
-    """Rectangular table of grid values, rows i_lo..i_hi by columns j_lo..j_hi."""
-    for bound in (i_lo, i_hi, j_lo, j_hi):
-        if type(bound) is not int:
-            require_int(bound, "region bound")
-    if not (1 <= i_lo <= i_hi and 1 <= j_lo <= j_hi):
-        raise ValueError("region bounds must satisfy 1 <= lo <= hi")
-    cells = (i_hi - i_lo + 1) * (j_hi - j_lo + 1)
-    if cells > REGION_CELL_CAP:
-        raise ResourceLimitError(f"region of {cells} cells exceeds cap {REGION_CELL_CAP}")
-    rows = [axis_value(i) for i in range(i_lo, i_hi + 1)]
-    cols = [axis_value(j) for j in range(j_lo, j_hi + 1)]
-    grid_value(i_hi, j_hi)  # both axes ascend, so this cell is the largest: past the cap, it raises
-    return [[a * b for b in cols] for a in rows]

@@ -22,8 +22,10 @@ factor's; each other command's live in the module that COMMANDS names,
 loaded only with it: wheel's in `wheel`, bench's in `bench`, and qgrid's,
 verify's and density's in `commands`.  shell serves the names that moved
 on first access.  The sieve oracle loads for wheel, verify and bench;
-numerics, the digital-root and wheel algebra, for wheel; the splitter for
-the first n above the table cap with no axis prime up to 1531 as a factor.
+numerics, the digital-root and wheel algebra, for wheel; explore, the
+grid and prefilter names that no verdict runs, for qgrid, density and
+bench; the splitter for the first n above the table cap with no axis
+prime up to 1531 as a factor.
 
 Each handler returns its answer, (exit code, payload, text), and writes
 nothing; `main` alone writes it, the payload as JSON under --json and the

@@ -6,6 +6,7 @@ dependency cannot creep back into `import quasiprime` unnoticed.
 """
 
 import os
+import pickle
 import subprocess
 import sys
 from importlib import import_module
@@ -62,12 +63,13 @@ def test_import_builds_no_table_and_a_small_call_a_small_one():
 # inspect), fractions (with decimal), json, argparse (with gettext and
 # locale), which a plain argv does not need, the sieve oracle, the wheel
 # emitter, the bench harness, the other commands' handlers, the digital-root
-# and wheel algebra, and the splitter, which only an n above the table cap
-# with no factor it names needs.
+# and wheel algebra, the grid and prefilter names that no verdict runs
+# (explore), and the splitter, which only an n above the table cap with no
+# factor it names needs.
 UNUSED = (
     "dataclasses", "inspect", "fractions", "decimal", "json", "argparse", "gettext", "locale",
     "quasiprime.oracle", "quasiprime.wheel", "quasiprime.bench", "quasiprime.commands",
-    "quasiprime.numerics", "quasiprime.splitter",
+    "quasiprime.numerics", "quasiprime.explore", "quasiprime.splitter",
 )
 
 GUARD_PROBE = """
@@ -91,6 +93,8 @@ print(quasiprime.oracle.sieve is quasiprime.sieve, sorted(unused & set(sys.modul
 print(sorted(set(quasiprime.__all__) - set(vars(quasiprime))))
 print(quasiprime.digital_root is quasiprime.numerics.digital_root, sorted(unused & set(sys.modules) - before))
 print(sorted(set(quasiprime.__all__) - set(vars(quasiprime))))
+print(quasiprime.region is quasiprime.qgrid.region, sorted(unused & set(sys.modules) - before))
+print(sorted(set(quasiprime.__all__) - set(vars(quasiprime))))
 """
 
 
@@ -100,17 +104,21 @@ def test_import_and_a_quiet_verdict_load_nothing_they_do_not_use():
         [sys.executable, "-c", GUARD_PROBE, *UNUSED], env=env, capture_output=True, text=True, check=True
     )
     (package, shell, quiet, table_factor, above_cap, served, unbound, served_numerics,
-     unbound_numerics) = result.stdout.splitlines()
+     unbound_numerics, served_explore, unbound_explore) = result.stdout.splitlines()
+    moved = [name for name, home in import_module("quasiprime")._LAZY.items() if home == "explore"]
     assert package == "[]"
     assert shell == "[]"
     assert quiet == "1 []"  # 91 = 7 × 13 is composite
     assert table_factor == "[]"  # above the cap, but its least factor is a table prime
     assert above_cap == "['quasiprime.splitter']"  # a prime above the cap
     assert served == "True ['quasiprime.oracle', 'quasiprime.splitter']"  # loaded on first access only
-    # the oracle's names bound in the package, as an eager import left them; numerics' not yet
-    assert unbound == str(sorted(import_module("quasiprime.numerics").__all__))
+    # the oracle's names bound in the package, as an eager import left them; numerics' and explore's not yet
+    assert unbound == str(sorted(import_module("quasiprime.numerics").__all__ + moved))
     assert served_numerics == "True ['quasiprime.numerics', 'quasiprime.oracle', 'quasiprime.splitter']"
-    assert unbound_numerics == "[]"  # all ten bound by the first
+    assert unbound_numerics == str(sorted(moved))  # all ten of numerics' bound by the first
+    assert served_explore == ("True ['quasiprime.explore', 'quasiprime.numerics', 'quasiprime.oracle', "
+                              "'quasiprime.splitter']")
+    assert unbound_explore == "[]"
 
 
 # Each command of a fresh qprime process loads the module that holds its
@@ -127,7 +135,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     except SystemExit as exc:
         code = exc.code
 watched = {"json", "argparse", "gettext", "locale", "quasiprime.commands", "quasiprime.wheel", "quasiprime.bench",
-           "quasiprime.oracle", "quasiprime.numerics"}
+           "quasiprime.oracle", "quasiprime.numerics", "quasiprime.explore"}
 print(code, sorted(watched & set(sys.modules)))
 """
 
@@ -136,14 +144,16 @@ ARGPARSE = ["argparse", "gettext", "locale"]
 COMMANDS = [
     pytest.param(["prime", "97", "--json"], 0, [], id="prime"),
     pytest.param(["factor", "360", "--json"], 0, [], id="factor"),
-    pytest.param(["qgrid", "--rows", "1..3", "--cols", "1..4", "--json"], 0, ["quasiprime.commands"], id="qgrid"),
+    pytest.param(["qgrid", "--rows", "1..3", "--cols", "1..4", "--json"], 0,
+                 ["quasiprime.commands", "quasiprime.explore"], id="qgrid"),
     pytest.param(["verify", "--limit", "1000", "--json"], 0, ["quasiprime.commands", "quasiprime.oracle"],
                  id="verify"),
-    pytest.param(["density", "--limit", "1000", "--json"], 0, ["quasiprime.commands"], id="density"),
+    pytest.param(["density", "--limit", "1000", "--json"], 0, ["quasiprime.commands", "quasiprime.explore"],
+                 id="density"),
     pytest.param(["wheel", "--limit", "48", "--out", "{tmp}/w.svg", "--json"], 0,
                  ["quasiprime.numerics", "quasiprime.oracle", "quasiprime.wheel"], id="wheel"),
     pytest.param(["bench", "--limit", "100", "--json"], 0,
-                 ["quasiprime.bench", "quasiprime.commands", "quasiprime.oracle"], id="bench"),
+                 ["quasiprime.bench", "quasiprime.commands", "quasiprime.explore", "quasiprime.oracle"], id="bench"),
     pytest.param(["wheel", "--limit", "48", "--out", '{tmp}/w"q.svg', "--json"], 0,
                  ["json", "quasiprime.numerics", "quasiprime.oracle", "quasiprime.wheel"], id="wheel-quoted-out"),
     pytest.param(["--help"], 0, ARGPARSE, id="help"),
@@ -160,6 +170,57 @@ def test_each_command_loads_only_its_own_module(tmp_path, argv, code, loaded):
         [sys.executable, "-c", COMMAND_PROBE, *argv], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout == f"{code} {sorted(loaded)}\n"
+
+
+# The names that moved out of pipeline and qgrid into explore, each still
+# served by its old home and by the package as the same object, and each
+# module's __all__ as it was before the move.
+EXPLORE = {
+    "pipeline": ("DensityReport", "FactorPair", "FilterVerdict", "dr_pairs", "factor_on_grid", "last_digit_pairs",
+                 "prefilter", "rejections_by_name", "survivor_density", "_COUNTS_TO", "_running_counts"),
+    "qgrid": ("QuasiPrimeTag", "axis_index", "contains", "diagonal_dr", "grid_value", "quasiprime_tag", "region",
+              "REGION_CELL_CAP"),
+}
+ALL = {
+    "pipeline": ["DensityReport", "FactorPair", "FilterVerdict", "PrimalityVerdict", "SearchStrategy", "Stage",
+                 "VerdictKind", "dr_pairs", "factor_on_grid", "full_factorize", "is_prime", "last_digit_pairs",
+                 "prefilter", "survivor_density"],
+    "qgrid": ["GridCoordinate", "QuasiPrimeTag", "axis_index", "axis_value", "contains", "diagonal_dr",
+              "grid_value", "quasiprime_tag", "region"],
+}
+# Written before the move, by pickle.dumps(..., protocol=4), so each names
+# its class's old home.
+PICKLED = {
+    "pipeline": (b"\x80\x04\x95.\x00\x00\x00\x00\x00\x00\x00\x8c\x13quasiprime.pipeline\x94\x8c\nFactorPair"
+                 b"\x94\x93\x94K\x05K\x07\x86\x94\x81\x94.", ("FactorPair", (5, 7))),
+    "qgrid": (b"\x80\x04\x959\x00\x00\x00\x00\x00\x00\x00\x8c\x10quasiprime.qgrid\x94\x8c\rQuasiPrimeTag"
+              b"\x94\x93\x94\x8c\x0cprime-square\x94\x85\x94R\x94.", ("QuasiPrimeTag", ("prime-square",))),
+}
+
+
+@pytest.mark.parametrize("module", list(EXPLORE))
+def test_old_homes_serve_the_names_that_moved_to_explore(module):
+    import quasiprime
+    from quasiprime import explore
+
+    home = import_module(f"quasiprime.{module}")
+    listed = dir(home)
+    for name in EXPLORE[module]:
+        assert getattr(home, name) is getattr(explore, name), name
+        assert name in listed, name
+        if name in home.__all__:
+            assert getattr(quasiprime, name) is getattr(home, name), name
+            assert name in dir(quasiprime), name
+    assert home.__all__ == ALL[module]
+    assert set(home.__all__) <= set(listed)
+    star: dict = {}
+    exec(f"from quasiprime.{module} import *", star)
+    del star["__builtins__"]
+    assert set(star) == set(ALL[module])
+    data, (name, args) = PICKLED[module]
+    assert pickle.loads(data) == getattr(home, name)(*args)
+    with pytest.raises(AttributeError, match=f"'quasiprime.{module}' has no attribute 'no_such_name'"):
+        home.no_such_name
 
 
 # Each handler returns its answer and shell.main alone writes it, so no
@@ -273,9 +334,10 @@ def test_export_set_is_whole():
         quasiprime.no_such_name
 
 
-# Each module declares its own exports; the package serves the oracle's and
-# numerics' through one map, which lists them by name so that neither module
-# loads until one of its names is used.
+# Each module declares its own exports; the package serves the oracle's,
+# numerics' and those that qgrid and pipeline serve from explore through one
+# map, which lists them by name so that none of the three modules loads until
+# one of its names is used.
 MODULES = ("errors", "numerics", "qgrid", "pipeline")
 
 
@@ -284,6 +346,7 @@ def test_each_module_declares_its_exports_once(name):
     module = import_module(f"quasiprime.{name}")
     assert len(set(module.__all__)) == len(module.__all__)
     for export in module.__all__:
+        getattr(module, export)  # binds a name that the module serves from explore
         assert export in vars(module), export
 
 
@@ -291,8 +354,8 @@ def test_package_exports_are_the_modules_lists_and_the_oracle_names():
     import quasiprime
 
     lazy = quasiprime._LAZY
-    declared = [(name, export) for name in MODULES if name not in lazy.values()
-                for export in import_module(f"quasiprime.{name}").__all__]
+    declared = [(name, export) for name in MODULES
+                for export in import_module(f"quasiprime.{name}").__all__ if export not in lazy]
     declared += [(home, export) for export, home in lazy.items()]
     assert sorted(quasiprime.__all__) == sorted(export for _, export in declared)
     assert len(set(quasiprime.__all__)) == len(quasiprime.__all__)
