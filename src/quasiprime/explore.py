@@ -18,7 +18,6 @@ from __future__ import annotations
 from collections import namedtuple
 from enum import Enum
 
-from . import qgrid
 from .errors import (NoFactorsError, NotOnPrimeModuliError, NotQuasiPrimeError, ResourceLimitError,
                      require_int, require_limit)
 from .pipeline import _BALANCED_FIRST, _STAGE_AT, FILTER_STAGES, SearchStrategy, Stage, require_strategy
@@ -220,7 +219,7 @@ def factor_on_grid(n: int, strategy: SearchStrategy = SearchStrategy.ASCENDING_S
         raise ValueError(f"factorization needs n >= 2, got {n}")
     if n % 2 == 0 or n % 3 == 0:
         raise NotQuasiPrimeError(f"{n} has factor 2 or 3, off the quasi-prime domain")
-    a = qgrid.axis_divisor(n, descending=strategy is _BALANCED_FIRST)
+    a = axis_divisor(n, descending=strategy is _BALANCED_FIRST)
     if a is None:
         raise NoFactorsError(f"{n} is prime; the grid holds no factor pair for it")
     return FactorPair(a, n // a)

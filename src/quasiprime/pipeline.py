@@ -22,9 +22,8 @@ from __future__ import annotations
 from collections import namedtuple
 from enum import Enum
 
-from . import qgrid
 from .errors import require_int
-from .qgrid import MAX_VALUE, GridCoordinate, require_in_cap
+from .qgrid import MAX_VALUE, GridCoordinate, _cell, axis_divisor, axis_factors, require_in_cap
 
 __all__ = ["DensityReport", "FactorPair", "FilterVerdict", "PrimalityVerdict", "SearchStrategy",
            "Stage", "VerdictKind", "dr_pairs", "factor_on_grid", "full_factorize", "is_prime",
@@ -32,6 +31,9 @@ __all__ = ["DensityReport", "FactorPair", "FilterVerdict", "PrimalityVerdict", "
 
 # The names that no verdict runs, held by quasiprime.explore and served here
 # on first access (PEP 562), so that importing pipeline compiles none of them.
+# CPython 3.11 does not specialize an attribute load from a module that has
+# __getattr__ (~20 ns more per load), so the hot paths import pipeline's names
+# rather than read them as pipeline.name.
 _MOVED = ("DensityReport", "FactorPair", "FilterVerdict", "dr_pairs", "factor_on_grid", "last_digit_pairs",
           "prefilter", "rejections_by_name", "survivor_density", "_COUNTS_TO", "_running_counts")
 
@@ -164,11 +166,11 @@ def is_prime(n: int, strategy: SearchStrategy = SearchStrategy.ASCENDING_SCAN) -
     stage, witness = _STAGE_AT[n % 30]
     if witness is not None:
         return _new(PrimalityVerdict, (n, _COMPOSITE, witness, stage, strategy))
-    a = qgrid.axis_divisor(n, descending)
+    a = axis_divisor(n, descending)
     if a is None:
         return _new(PrimalityVerdict, (n, _PRIME, None, _GRID_SEARCH, strategy))
     deciding = stage if stage is not None else _GRID_SEARCH
-    return _new(PrimalityVerdict, (n, _COMPOSITE, qgrid._cell(a, n), deciding, strategy))
+    return _new(PrimalityVerdict, (n, _COMPOSITE, _cell(a, n), deciding, strategy))
 
 
 def full_factorize(n: int) -> list[int]:
@@ -187,6 +189,6 @@ def full_factorize(n: int) -> list[int]:
         while n % p == 0:
             factors.append(p)
             n //= p
-    return factors + qgrid.axis_factors(n)
+    return factors + axis_factors(n)
 
 

@@ -38,6 +38,9 @@ __all__ = ["GridCoordinate", "QuasiPrimeTag", "axis_index", "axis_value", "conta
 
 # The names that no verdict runs, held by quasiprime.explore and served here
 # on first access (PEP 562), so that importing qgrid compiles none of them.
+# CPython 3.11 does not specialize an attribute load from a module that has
+# __getattr__ (~20 ns more per load), so the hot paths import qgrid's names
+# rather than read them as qgrid.name.
 _MOVED = ("QuasiPrimeTag", "axis_index", "contains", "diagonal_dr", "grid_value", "quasiprime_tag", "region",
           "REGION_CELL_CAP")
 
