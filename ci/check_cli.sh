@@ -39,13 +39,15 @@ printf '%s\n' 'error: 9223372036854775808 exceeds the 64-bit cap' \
 qprime factor 360 --json
 qprime prime 1000000007 --quiet
 test "$(qprime factor 1000036000099 --json)" = '{"n": 1000036000099, "factors": [1000003, 1000033], "outside_wheel": []}'
+qprime qgrid --rows 1..3 --cols 1..4
 qprime wheel --limit 48 --out "$tmp/w.svg"
 qprime verify --limit 1000
 qprime bench --limit 100
+qprime density --limit 1000
 
-# The grid and prefilter names that no verdict runs load from explore, on
-# the first access through their old homes: qgrid and density reach them so
-# and are compared with their goldens byte for byte.
+# The grid and prefilter names that no verdict runs load from explore, which
+# only the qgrid, density and bench commands import, so the answers of qgrid
+# and density are compared with their goldens byte for byte too.
 qprime qgrid --rows 1..3 --cols 1..4 --json | cmp - tests/goldens/qgrid.json
 qprime density --limit 1000 --json | cmp - tests/goldens/density.json
 

@@ -4,8 +4,13 @@ staged primality testing, grid factorization, and a sieve oracle.
 The names of the sieve oracle, of the digital-root and wheel algebra
 (numerics) and of the grid and prefilter that no verdict runs (explore)
 are served on first access (PEP 562), so a caller that never uses one of
-them never loads its module.
+them never loads its module.  The package's vars() and __dict__ hold
+explore's names, as when the package imported them eagerly, and load
+explore to do so.
 """
+
+import sys
+from types import ModuleType
 
 from . import errors, pipeline, qgrid
 from .errors import *
@@ -50,3 +55,21 @@ def __getattr__(name: str):
 
 def __dir__() -> list[str]:
     return sorted({*globals(), *_LAZY, *_LAZY.values()})
+
+
+class _Package(ModuleType):
+    # Read through this property, the namespace holds every name that the
+    # package bound at import before explore was split out, so that a copy
+    # of vars(quasiprime) serves each of them.  The interpreter and the PEP
+    # 562 hooks use the namespace itself, so neither an attribute load nor
+    # dir() loads explore.
+    @property
+    def __dict__(self):
+        getattr(self, "region")  # binds every name served from explore
+        return ModuleType.__dict__["__dict__"].__get__(self)
+
+    def __dir__(self) -> list[str]:
+        return __dir__()
+
+
+sys.modules[__name__].__class__ = _Package

@@ -11,6 +11,7 @@ from collections import namedtuple
 from . import oracle, pipeline
 from .commands import _format_rejections_text
 from .errors import ConsistencyError, require_limit
+from .explore import rejections_by_name, survivor_density
 
 BENCH_LIMIT_CAP = 10**7
 
@@ -32,7 +33,7 @@ class BenchReport(
     def to_json_dict(self) -> dict:
         return {
             **self._asdict(),
-            "per_stage_rejections": pipeline.rejections_by_name(self.per_stage_rejections),
+            "per_stage_rejections": rejections_by_name(self.per_stage_rejections),
         }
 
 
@@ -54,7 +55,7 @@ def bench(limit: int) -> BenchReport:
         raise ConsistencyError(
             f"pipeline found {pipeline_count} primes, trial division {trial_count}"
         )
-    density = pipeline.survivor_density(limit)
+    density = survivor_density(limit)
     return BenchReport(
         limit=limit,
         pipeline_seconds=pipeline_seconds,

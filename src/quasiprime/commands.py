@@ -7,8 +7,8 @@ Only these three commands load it, and bench for the rejection line, so
 
 from __future__ import annotations
 
-from . import pipeline, qgrid
 from .pipeline import SearchStrategy
+from .qgrid import axis_value
 
 
 def format_region_text(row_axis: list[int], col_axis: list[int], values: list[list[int]]) -> str:
@@ -60,13 +60,15 @@ def declare_density(p):
 
 
 def _cmd_qgrid(args) -> tuple:
+    from .explore import region
+
     (i_lo, i_hi), (j_lo, j_hi) = args.rows, args.cols
-    values = qgrid.region(i_lo, i_hi, j_lo, j_hi)
+    values = region(i_lo, i_hi, j_lo, j_hi)
     payload = {
         "rows": [i_lo, i_hi],
         "cols": [j_lo, j_hi],
-        "row_axis": [qgrid.axis_value(i) for i in range(i_lo, i_hi + 1)],
-        "col_axis": [qgrid.axis_value(j) for j in range(j_lo, j_hi + 1)],
+        "row_axis": [axis_value(i) for i in range(i_lo, i_hi + 1)],
+        "col_axis": [axis_value(j) for j in range(j_lo, j_hi + 1)],
         "values": values,
     }
     return 0, payload, format_region_text(payload["row_axis"], payload["col_axis"], values)
@@ -89,7 +91,9 @@ def _cmd_verify(args) -> tuple:
 
 
 def _cmd_density(args) -> tuple:
-    report = pipeline.survivor_density(args.limit)
+    from .explore import survivor_density
+
+    report = survivor_density(args.limit)
     payload = report.to_json_dict()
     text = (
         f"limit {report.limit}: {report.survivors} survivors, "

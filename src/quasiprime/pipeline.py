@@ -23,7 +23,8 @@ from collections import namedtuple
 from enum import Enum
 
 from .errors import require_int
-from .qgrid import MAX_VALUE, GridCoordinate, _cell, axis_divisor, axis_factors, require_in_cap
+from .qgrid import (MAX_VALUE, GridCoordinate, _cell, _served_from_explore, axis_divisor, axis_factors,
+                    require_in_cap)
 
 __all__ = ["DensityReport", "FactorPair", "FilterVerdict", "PrimalityVerdict", "SearchStrategy",
            "Stage", "VerdictKind", "dr_pairs", "factor_on_grid", "full_factorize", "is_prime",
@@ -32,25 +33,11 @@ __all__ = ["DensityReport", "FactorPair", "FilterVerdict", "PrimalityVerdict", "
 # The names that no verdict runs, held by quasiprime.explore and served here
 # on first access (PEP 562), so that importing pipeline compiles none of them.
 # CPython 3.11 does not specialize an attribute load from a module that has
-# __getattr__ (~20 ns more per load), so the hot paths import pipeline's names
-# rather than read them as pipeline.name.
+# __getattr__ (~20 ns more per load), so the package's own modules import
+# pipeline's names, and explore's from explore, rather than read pipeline.name.
 _MOVED = ("DensityReport", "FactorPair", "FilterVerdict", "dr_pairs", "factor_on_grid", "last_digit_pairs",
           "prefilter", "rejections_by_name", "survivor_density", "_COUNTS_TO", "_running_counts")
-
-
-def __getattr__(name: str):
-    if name not in _MOVED:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import explore
-
-    # Bound once, so that later lookups and vars() find every name, as when
-    # they were defined here.
-    globals().update({moved: getattr(explore, moved) for moved in _MOVED})
-    return globals()[name]
-
-
-def __dir__() -> list[str]:
-    return sorted({*globals(), *_MOVED})
+__getattr__, __dir__ = _served_from_explore(globals(), _MOVED)
 
 
 class Stage(str, Enum):
