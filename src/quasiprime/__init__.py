@@ -5,8 +5,7 @@ The names of the sieve oracle, of the digital-root and wheel algebra
 (numerics) and of the grid and prefilter that no verdict runs (explore)
 are served on first access (PEP 562), so a caller that never uses one of
 them never loads its module.  The package's vars() and __dict__ hold
-explore's names, as when the package imported them eagerly, and load
-explore to do so.
+explore's names too, and load explore to do so.
 """
 
 import sys
@@ -58,11 +57,11 @@ def __dir__() -> list[str]:
 
 
 class _Package(ModuleType):
-    # Read through this property, the namespace holds every name that the
-    # package bound at import before explore was split out, so that a copy
-    # of vars(quasiprime) serves each of them.  The interpreter and the PEP
-    # 562 hooks use the namespace itself, so neither an attribute load nor
-    # dir() loads explore.
+    # Read through this property, the namespace holds explore's names too,
+    # so that a copy of vars(quasiprime) serves every export but the
+    # oracle's and numerics' before their first use.  The interpreter and
+    # the PEP 562 hooks read the namespace itself, so neither an attribute
+    # load nor dir() loads explore.
     @property
     def __dict__(self):
         getattr(self, "region")  # binds every name served from explore

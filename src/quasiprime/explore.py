@@ -10,7 +10,7 @@ factor pairs, not filters on the grid search.
 Each name is served by its old home, qgrid or pipeline, and by the
 package, on first access (PEP 562), so that `import quasiprime` and the
 prime, factor, verify and wheel commands compile none of it.  The qgrid,
-density and bench commands load it.
+density and bench commands import their names from here.
 """
 
 from __future__ import annotations

@@ -122,15 +122,11 @@ _REACH_CAP = 1000  # the most values of a that _reach gives, so the longest span
 # square mod m for each of these moduli; 0.85 % of the a pass all four.
 # _fermat_rows[i][n % m] has bit j set when j*j - n is a square mod m, for m
 # = _FERMAT_MODULI[i], repeated with period m over _REACH_CAP + m bits or more,
-# so shifted right by a % m its bit t answers for a + t.  A call reads one row
-# per modulus, so each row is None until the first n that reads it builds it
-# (None, since a real row can be 0: m = 64, n = 2 mod 4).  A fresh process's
-# first call takes ~62 us so, where building all 199 rows takes it ~0.48 ms
-# (CPython 3.11.7, 2-vCPU VM, CPU time, median of 21).  The 199 rows hold
-# ~33 KB; moduli (576, 35, 143) pass 0.85 % too, but their rows take ~6 ms and
-# ~150 KB to build.
+# so shifted right by a % m its bit t answers for a + t.  Built on the first
+# call, ~1 ms in a fresh process (median of 25, 0.6 ms at best) and ~33 KB;
+# moduli (576, 35, 143) pass 0.85 % too, but take ~6 ms and ~150 KB to build.
 _FERMAT_MODULI = (64, 45, 77, 13)  # in the order _fermat unpacks their rows
-_fermat_rows = tuple([None] * m for m in _FERMAT_MODULI)
+_fermat_rows: list[tuple[int, ...]] = []
 
 
 def _split(n: int) -> list[int]:
@@ -175,15 +171,11 @@ def _fermat(n: int, start: int = 0, stop: int = FERMAT_WINDOW) -> int | None:
     gives it: past any reach.  A composite n's first hit is its largest
     divisor <= sqrt(n), above 1.
     """
-    r64, r45, r77, r13 = _fermat_rows
+    r64, r45, r77, r13 = _fermat_rows or _build_fermat_rows()
     r = isqrt(n)
     a = r + (r * r < n) + start  # ceil(sqrt(n)) + start
-    try:
-        candidates = ((1 << stop - start) - 1 & r64[n % 64] >> a % 64 & r45[n % 45] >> a % 45
-                      & r77[n % 77] >> a % 77 & r13[n % 13] >> a % 13)
-    except TypeError:  # None: a row of n's is not built yet
-        _build_fermat_rows(n)
-        return _fermat(n, start, stop)
+    candidates = ((1 << stop - start) - 1 & r64[n % 64] >> a % 64 & r45[n % 45] >> a % 45
+                  & r77[n % 77] >> a % 77 & r13[n % 13] >> a % 13)
     a -= 1
     while candidates:
         skip = (candidates & -candidates).bit_length()  # the lowest candidate's offset, plus 1
@@ -196,15 +188,19 @@ def _fermat(n: int, start: int = 0, stop: int = FERMAT_WINDOW) -> int | None:
     return None
 
 
-def _build_fermat_rows(n: int) -> None:
-    """Build each row that n reads and that is not built yet: for each
-    modulus m, row n % m, with bit j set when j*j - n is a square mod m."""
-    for m, rows in zip(_FERMAT_MODULI, _fermat_rows):
-        r = n % m
-        if rows[r] is None:
-            squares = {j * j % m for j in range(m)}
-            repeat = ((1 << m * (_REACH_CAP // m + 2)) - 1) // ((1 << m) - 1)  # a 1 every m bits
-            rows[r] = repeat * sum(1 << j for j in range(m) if (j * j - r) % m in squares)
+def _build_fermat_rows() -> list[tuple[int, ...]]:
+    """Build the Fermat stage's rows, store them and return them."""
+    built = []
+    for m in _FERMAT_MODULI:
+        squares = [j * j % m for j in range(m)]
+        rows = [0] * m
+        for q in set(squares):
+            for j, s in enumerate(squares):
+                rows[s - q] |= 1 << j  # row (j*j - q) mod m: a negative index counts from the end
+        repeat = ((1 << m * (_REACH_CAP // m + 2)) - 1) // ((1 << m) - 1)  # a 1 every m bits
+        built.append(tuple(map(repeat.__mul__, rows)))
+    _fermat_rows[:] = built
+    return _fermat_rows
 
 
 def _is_prime_mr(n: int) -> bool:

@@ -8,12 +8,9 @@ prime bases, read off the least strong pseudoprimes psi_k, the in-repo sieve
 and Fermat's method tried at every a.
 """
 
-import os
 import random
-import subprocess
 import sys
 from math import gcd, isqrt, prod
-from pathlib import Path
 
 import pytest
 
@@ -206,53 +203,13 @@ class TestFermat:
 
     def test_rows_cover_the_reach_at_every_shift(self):
         # row[n % m] >> (a % m) must keep _REACH_CAP bits for every a % m
-        for n in range(max(splitter._FERMAT_MODULI)):  # builds every row of every modulus
-            splitter._build_fermat_rows(n)
+        splitter._fermat(qgrid.TABLE_CAP + 2)
         for m, rows in zip(splitter._FERMAT_MODULI, splitter._fermat_rows, strict=True):
             squares = {i * i % m for i in range(m)}
             span = range(splitter._REACH_CAP + m)
             assert len(rows) == m
             for r, row in enumerate(rows):
                 assert row & (1 << len(span)) - 1 == sum(1 << j for j in span if (j * j - r) % m in squares), (m, r)
-
-
-    def test_rows_built_on_first_read_equal_the_whole_construction(self, monkeypatch):
-        monkeypatch.setattr(splitter, "_fermat_rows", tuple([None] * m for m in splitter._FERMAT_MODULI))
-        for n in range(max(splitter._FERMAT_MODULI)):
-            splitter._build_fermat_rows(n)
-        for m, rows in zip(splitter._FERMAT_MODULI, splitter._fermat_rows, strict=True):
-            # all m rows at once, as the first call once built them: row
-            # (j*j - q) mod m gets bit j for each square q mod m
-            squares = [j * j % m for j in range(m)]
-            whole = [0] * m
-            for q in set(squares):
-                for j, s in enumerate(squares):
-                    whole[s - q] |= 1 << j
-            repeat = ((1 << m * (splitter._REACH_CAP // m + 2)) - 1) // ((1 << m) - 1)
-            assert rows == [repeat * row for row in whole], m
-        assert 0 in splitter._fermat_rows[0]  # a real row, so 0 cannot mark an unbuilt one
-
-    def test_a_fresh_process_builds_the_four_rows_its_first_call_reads(self):
-        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
-        result = subprocess.run(
-            [sys.executable, "-c", FIRST_CALL_PROBE], env=env, capture_output=True, text=True, check=True
-        )
-        assert result.stdout == "0 4 4\n"  # the second n reads the first one's rows
-
-
-# Rows built at import, after one _fermat call, and after a second call on an
-# n with the same residues mod 64, 45, 77 and 13.
-FIRST_CALL_PROBE = """
-from quasiprime import qgrid, splitter
-def built():
-    return sum(row is not None for rows in splitter._fermat_rows for row in rows)
-at_import = built()
-n = qgrid.TABLE_CAP + 2
-splitter._fermat(n)
-first = built()
-splitter._fermat(n + 64 * 45 * 77 * 13)
-print(at_import, first, built())
-"""
 
 
 def rho_constants(call, n):
