@@ -51,6 +51,9 @@ qprime density --limit 1000
 qprime qgrid --rows 1..3 --cols 1..4 --json | cmp - tests/goldens/qgrid.json
 qprime density --limit 1000 --json | cmp - tests/goldens/density.json
 
+# The wheel's SVG, written above, matches its golden byte for byte.
+cmp "$tmp/w.svg" tests/goldens/wheel-48.svg
+
 # Each range command refuses one size out of its bounds with exit 2, and
 # density a limit above QP_MAX_LIMIT.
 code=0; qprime density --limit 99 || code=$?; test "$code" -eq 2

@@ -37,23 +37,7 @@ __all__ += [name for name, home in _LAZY.items() if home == "numerics"]
 __all__ += qgrid.__all__
 __all__ += pipeline.__all__
 
-
-def __getattr__(name: str):
-    # Each module is served by its own name too, as when the package imported it.
-    home = _LAZY.get(name, name)
-    if home not in _LAZY.values():
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-
-    module = import_module(f".{home}", __name__)
-    # Bound once, so that later lookups and vars() find every name, as an
-    # eager import left them.
-    globals().update({n: getattr(module, n) for n, h in _LAZY.items() if h == home})
-    return globals()[name]
-
-
-def __dir__() -> list[str]:
-    return sorted({*globals(), *_LAZY, *_LAZY.values()})
+__getattr__, __dir__ = errors.serve_moved(globals(), _LAZY)
 
 
 class _Package(ModuleType):

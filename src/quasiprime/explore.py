@@ -222,7 +222,9 @@ def factor_on_grid(n: int, strategy: SearchStrategy = SearchStrategy.ASCENDING_S
     a = axis_divisor(n, descending=strategy is _BALANCED_FIRST)
     if a is None:
         raise NoFactorsError(f"{n} is prime; the grid holds no factor pair for it")
-    return FactorPair(a, n // a)
+    # The search proved a <= n // a, both coprime to 6, so the checks of
+    # FactorPair's constructor are skipped, as qgrid._cell skips GridCoordinate's.
+    return tuple.__new__(FactorPair, (a, n // a))
 
 
 def survivor_density(limit: int) -> DensityReport:

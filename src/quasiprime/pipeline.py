@@ -22,22 +22,18 @@ from __future__ import annotations
 from collections import namedtuple
 from enum import Enum
 
-from .errors import require_int
-from .qgrid import (MAX_VALUE, GridCoordinate, _cell, _served_from_explore, axis_divisor, axis_factors,
-                    require_in_cap)
+from .errors import require_int, serve_moved
+from .qgrid import MAX_VALUE, GridCoordinate, _cell, axis_divisor, axis_factors, require_in_cap
 
 __all__ = ["DensityReport", "FactorPair", "FilterVerdict", "PrimalityVerdict", "SearchStrategy",
            "Stage", "VerdictKind", "dr_pairs", "factor_on_grid", "full_factorize", "is_prime",
            "last_digit_pairs", "prefilter", "survivor_density"]
 
 # The names that no verdict runs, held by quasiprime.explore and served here
-# on first access (PEP 562), so that importing pipeline compiles none of them.
-# CPython 3.11 does not specialize an attribute load from a module that has
-# __getattr__ (~20 ns more per load), so the package's own modules import
-# pipeline's names, and explore's from explore, rather than read pipeline.name.
+# on first access, so that importing pipeline compiles none of them.
 _MOVED = ("DensityReport", "FactorPair", "FilterVerdict", "dr_pairs", "factor_on_grid", "last_digit_pairs",
           "prefilter", "rejections_by_name", "survivor_density", "_COUNTS_TO", "_running_counts")
-__getattr__, __dir__ = _served_from_explore(globals(), _MOVED)
+__getattr__, __dir__ = serve_moved(globals(), dict.fromkeys(_MOVED, "explore"))
 
 
 class Stage(str, Enum):

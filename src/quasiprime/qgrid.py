@@ -31,43 +31,16 @@ from __future__ import annotations
 from collections import namedtuple
 from math import gcd, isqrt, prod
 
-from .errors import ResourceLimitError, require_int
+from .errors import ResourceLimitError, require_int, serve_moved
 
 __all__ = ["GridCoordinate", "QuasiPrimeTag", "axis_index", "axis_value", "contains",
            "diagonal_dr", "grid_value", "quasiprime_tag", "region"]
 
 # The names that no verdict runs, held by quasiprime.explore and served here
-# on first access (PEP 562), so that importing qgrid compiles none of them.
-# CPython 3.11 does not specialize an attribute load from a module that has
-# __getattr__ (~20 ns more per load), so the package's own modules import
-# qgrid's names, and explore's from explore, rather than read qgrid.name.
+# on first access, so that importing qgrid compiles none of them.
 _MOVED = ("QuasiPrimeTag", "axis_index", "contains", "diagonal_dr", "grid_value", "quasiprime_tag", "region",
           "REGION_CELL_CAP")
-
-
-def _served_from_explore(namespace: dict, moved: tuple[str, ...]):
-    """The PEP 562 __getattr__ and __dir__ of the module whose globals are
-    namespace, serving the names in moved from quasiprime.explore."""
-    module = namespace["__name__"]
-
-    def __getattr__(name: str):
-        if name not in moved:
-            raise AttributeError(f"module {module!r} has no attribute {name!r}")
-        from . import explore
-
-        # Bound once, so that later lookups and vars() find every name, as when
-        # they were defined in the old home.
-        namespace.update({served: getattr(explore, served) for served in moved})
-        return namespace[name]
-
-    def __dir__() -> list[str]:
-        return sorted({*namespace, *moved})
-
-    return __getattr__, __dir__
-
-
-__getattr__, __dir__ = _served_from_explore(globals(), _MOVED)
-
+__getattr__, __dir__ = serve_moved(globals(), dict.fromkeys(_MOVED, "explore"))
 
 MAX_VALUE = 2**63 - 1  # the input cap of every entry point that takes an n
 # n with isqrt(n) <= AXIS_PRIME_MAX read the table.  Above it, a gcd with

@@ -43,7 +43,7 @@ import sys
 from types import SimpleNamespace
 
 from . import pipeline
-from .errors import ConsistencyError, ResourceLimitError
+from .errors import ConsistencyError, ResourceLimitError, serve_moved
 from .pipeline import SearchStrategy, VerdictKind
 
 MAX_LIMIT_ENV = "QP_MAX_LIMIT"
@@ -67,18 +67,7 @@ _MOVED = {
     **dict.fromkeys(("BenchReport", "bench", "BENCH_LIMIT_CAP"), "bench"),
     "format_region_text": "commands",
 }
-
-
-def __getattr__(name: str):
-    if name not in _MOVED:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-
-    return getattr(import_module(f".{_MOVED[name]}", __package__), name)
-
-
-def __dir__() -> list[str]:
-    return sorted({*globals(), *_MOVED})
+__getattr__, __dir__ = serve_moved(globals(), _MOVED)
 
 
 # --------------------------------------------------------------------------

@@ -55,10 +55,14 @@ def emit_wheel_svg(render: WheelRender) -> str:
     size = 2 * (outer + margin)
     cx = cy = size / 2
 
+    # Each spoke's direction, computed once per render, not once per number.
+    directions = [(math.cos(angle), math.sin(angle))
+                  for angle in (math.radians(-90.0 + i * 360.0 / sides) for i in range(sides))]
+
     def point(ring: int, spoke: int, radius_nudge: float = 0.0) -> tuple[float, float]:
-        angle = math.radians(-90.0 + (spoke - 1) * 360.0 / sides)
+        cos, sin = directions[spoke - 1]
         r = r0 + ring * step + radius_nudge
-        return cx + r * math.cos(angle), cy + r * math.sin(angle)
+        return cx + r * cos, cy + r * sin
 
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',

@@ -3,7 +3,7 @@
 Each golden in tests/goldens/ holds the stdout of one run.  bench's two
 timings change from run to run, so they are taken out before the
 comparison.  wheel writes its SVG to a relative path, so its payload names
-the same file on every run; test C10 pins the SVG itself.
+the same file on every run, and the SVG's bytes match wheel-48.svg.
 """
 
 import json
@@ -44,3 +44,5 @@ def test_json_matches_golden(name, capsys, tmp_path, monkeypatch):
             assert payload.pop(key) >= 0
         out = json.dumps(payload) + "\n"
     assert out == (GOLDENS / f"{name}.json").read_text(encoding="utf-8")
+    if name == "wheel":
+        assert (tmp_path / "wheel.svg").read_bytes() == (GOLDENS / "wheel-48.svg").read_bytes()

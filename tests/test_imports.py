@@ -268,6 +268,34 @@ def test_shell_serves_the_names_that_moved(module):
         shell.no_such_name
 
 
+# In a fresh process, a served name is unbound until its first access, which
+# binds it in the serving module's vars() as the object its home holds.
+BIND_PROBE = """
+import sys
+from importlib import import_module
+module, name, home = sys.argv[1:]
+namespace = vars(import_module(module))
+unbound = name not in namespace
+served = getattr(sys.modules[module], name)
+print(unbound, namespace.get(name) is served is getattr(import_module(home), name))
+"""
+
+
+@pytest.mark.parametrize("module, name, home", [
+    ("quasiprime", "sieve", "quasiprime.oracle"),
+    ("quasiprime.qgrid", "region", "quasiprime.explore"),
+    ("quasiprime.pipeline", "factor_on_grid", "quasiprime.explore"),
+    ("quasiprime.shell", "bench", "quasiprime.bench"),
+])
+def test_first_access_binds_the_served_name(module, name, home):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    result = subprocess.run(
+        [sys.executable, "-c", BIND_PROBE, module, name, home], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert result.stdout == "True True\n"
+
+
 # The sieve oracle, loaded by the commands that check against it, and the
 # splitter, loaded by the first n that needs it, add no top-level module to
 # those the package loaded.  Without site (-S) the interpreter loads so little
