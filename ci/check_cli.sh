@@ -39,6 +39,12 @@ printf '%s\n' 'error: 9223372036854775808 exceeds the 64-bit cap' \
 qprime factor 360 --json
 qprime prime 1000000007 --quiet
 test "$(qprime factor 1000036000099 --json)" = '{"n": 1000036000099, "factors": [1000003, 1000033], "outside_wheel": []}'
+
+# Below the table cap, balanced and factor read the slot of each cofactor:
+# 595595 = 5 * 7**2 * 11 * 13 * 17 has six prime factors.
+test "$(qprime prime --strategy balanced 595595 --json)" = '{"n": 595595, "verdict": "composite", "witness": [715, 833], "stage": "LastDigit", "strategy": "balanced"}'
+test "$(qprime factor 595595 --json)" = '{"n": 595595, "factors": [5, 7, 7, 11, 13, 17], "outside_wheel": []}'
+
 qprime qgrid --rows 1..3 --cols 1..4
 qprime wheel --limit 48 --out "$tmp/w.svg"
 qprime verify --limit 1000

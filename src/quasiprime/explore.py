@@ -20,7 +20,8 @@ from enum import Enum
 
 from .errors import (NoFactorsError, NotOnPrimeModuliError, NotQuasiPrimeError, ResourceLimitError,
                      require_int, require_limit)
-from .pipeline import _BALANCED_FIRST, _STAGE_AT, FILTER_STAGES, SearchStrategy, Stage, require_strategy
+from .pipeline import (_ASCENDING_SCAN, _BALANCED_FIRST, _STAGE_AT, FILTER_STAGES, SearchStrategy, Stage,
+                       require_strategy)
 from .qgrid import MAX_VALUE, GridCoordinate, _cell, axis_divisor, axis_value, require_in_cap
 
 REGION_CELL_CAP = 10**4
@@ -213,13 +214,21 @@ def factor_on_grid(n: int, strategy: SearchStrategy = SearchStrategy.ASCENDING_S
     AscendingScan returns the pair with the smallest a (the least prime
     factor); BalancedFirst returns the pair minimizing b - a.
     """
-    require_strategy(strategy)
-    require_in_cap(n)
+    # The guards run inline, as in is_prime, and are called only to refuse:
+    # the strategy first, then n.
+    if strategy is _ASCENDING_SCAN:
+        descending = False
+    elif strategy is _BALANCED_FIRST:
+        descending = True
+    else:
+        require_strategy(strategy)
+    if type(n) is not int or n > MAX_VALUE:  # an exact int within the cap skips the guard
+        require_in_cap(n)
     if n < 2:
         raise ValueError(f"factorization needs n >= 2, got {n}")
     if n % 2 == 0 or n % 3 == 0:
         raise NotQuasiPrimeError(f"{n} has factor 2 or 3, off the quasi-prime domain")
-    a = axis_divisor(n, descending=strategy is _BALANCED_FIRST)
+    a = axis_divisor(n, descending)
     if a is None:
         raise NoFactorsError(f"{n} is prime; the grid holds no factor pair for it")
     # The search proved a <= n // a, both coprime to 6, so the checks of

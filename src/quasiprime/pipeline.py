@@ -23,7 +23,7 @@ from collections import namedtuple
 from enum import Enum
 
 from .errors import require_int, serve_moved
-from .qgrid import MAX_VALUE, GridCoordinate, _cell, axis_divisor, axis_factors, require_in_cap
+from .qgrid import MAX_VALUE, GridCoordinate, axis_divisor, axis_factors, require_in_cap
 
 __all__ = ["DensityReport", "FactorPair", "FilterVerdict", "PrimalityVerdict", "SearchStrategy",
            "Stage", "VerdictKind", "dr_pairs", "factor_on_grid", "full_factorize", "is_prime",
@@ -153,7 +153,9 @@ def is_prime(n: int, strategy: SearchStrategy = SearchStrategy.ASCENDING_SCAN) -
     if a is None:
         return _new(PrimalityVerdict, (n, _PRIME, None, _GRID_SEARCH, strategy))
     deciding = stage if stage is not None else _GRID_SEARCH
-    return _new(PrimalityVerdict, (n, _COMPOSITE, _cell(a, n), deciding, strategy))
+    # the cell of a and n // a, built as qgrid._cell builds it, without its call
+    cell = _new(GridCoordinate, (a // 3, n // a // 3, n))
+    return _new(PrimalityVerdict, (n, _COMPOSITE, cell, deciding, strategy))
 
 
 def full_factorize(n: int) -> list[int]:
@@ -164,7 +166,8 @@ def full_factorize(n: int) -> list[int]:
     qgrid.TABLE_CAP, and above it a gcd and a lookup, the Fermat stage,
     Miller-Rabin and rho.
     """
-    require_in_cap(n)
+    if type(n) is not int or n > MAX_VALUE:  # an exact int within the cap skips the guard
+        require_in_cap(n)
     if n < 2:
         raise ValueError(f"factorization needs n >= 2, got {n}")
     factors: list[int] = []

@@ -51,12 +51,12 @@ MAX_VALUE = 2**63 - 1  # the input cap of every entry point that takes an n
 # (no axis prime lies in (1531, 1543)).  The byte, not the cost, sets it.
 # Per call on CPython 3.11.7 (2-core VM, CPU time, best of 7 over 60 n of each
 # class, both strategies, is_prime, factor_on_grid and full_factorize;
-# semiprimes p*q with p in the 10 % below sqrt(n)):
+# semiprimes p*q with p in the 10 % below sqrt(n); best of three processes):
 #
 #   class       n in (TABLE_CAP/2, TABLE_CAP]    n in (TABLE_CAP, 4 TABLE_CAP]
-#   random      1.1-3.2 us (table)               2.7-5.3 us (gcd, lookup, MR, rho)
-#   prime       0.7 us                           5.8-6.3 us
-#   semiprime   1.0-1.4 us                       2.7-3.6 us
+#   random      0.7-2.0 us (table)               1.3-3.8 us (gcd, lookup, MR, rho)
+#   prime       0.5-0.7 us                       4.6-5.0 us
+#   semiprime   0.7-1.2 us                       2.5-3.1 us
 AXIS_PRIME_MAX = 1531
 TABLE_CAP = (AXIS_PRIME_MAX + 1) ** 2 - 1
 # Slot n // 3 of each n coprime to 6 holds k for n's least prime factor 6k-1 or
@@ -124,8 +124,9 @@ class GridCoordinate(namedtuple("GridCoordinate", "i j value")):
         return axis_value(self.i), axis_value(self.j)
 
 
-# The grid search builds every witness cell through _cell, so it reads the
-# constructor from a module-level name rather than an attribute of tuple.
+# contains builds its witness cell through _cell, and is_prime builds its own
+# the same way; each reads the constructor from a module-level name rather
+# than an attribute of tuple.
 _new = tuple.__new__
 
 
@@ -154,9 +155,9 @@ def axis_divisor(n: int, descending: bool = False) -> int | None:
     one, whose pair (a, n // a) is nearest the reflection line.  Up to
     TABLE_CAP the table gives the least prime factor p.  Above it the least
     one is the least prime of n's gcd with _AXIS_PRIMORIAL when that exceeds
-    1, else it comes from n's prime factors.  The largest one is p when n is
-    the product of two primes, else it comes from n's prime factors.  None
-    means n is 1 or prime.
+    1, else it comes from n's prime factors.  The largest one is p when
+    n // p is prime, else it comes from n's prime factors.  None means n is
+    1 or prime.
     """
     if n <= TABLE_CAP:
         i = n // 3
@@ -169,9 +170,22 @@ def axis_divisor(n: int, descending: bool = False) -> int | None:
         p = 6 * k - 1
         if n % p:
             p += 2
-        if not descending or axis_divisor(n // p) is None:  # n // p is prime: p is the largest one too
+        if not descending:
             return p
-    elif not descending:
+        # The slot of q = n // p: a third copy of the lookup, after the one
+        # above and axis_factors', since reading it through axis_factors(n) or
+        # axis_factors(q) measured slower on balanced calls.
+        q = n // p
+        i = q // 3
+        try:
+            k = _blocks[i >> _BLOCK_BITS][i & _BLOCK_MASK]
+        except TypeError:
+            k = _build(i >> _BLOCK_BITS)[i & _BLOCK_MASK]
+        if not k:  # q is prime: p is the largest one too
+            return p
+        # three prime factors or more
+        return _largest_divisor([p] + axis_factors(q), isqrt(n))
+    if not descending:
         if not (n % 5 and n % 7):
             return 7 if n % 5 else 5
         small = gcd(n, _AXIS_PRIMORIAL)
@@ -209,8 +223,18 @@ def axis_factors(n: int) -> list[int]:
             p = _least_prime(small)
         factors.append(p)
         n //= p
-    while n > 1:
-        p = axis_divisor(n) or n  # None: n is prime
+    while n > 1:  # the lookup of axis_divisor, one per factor, without its call
+        i = n // 3
+        try:
+            k = _blocks[i >> _BLOCK_BITS][i & _BLOCK_MASK]
+        except TypeError:
+            k = _build(i >> _BLOCK_BITS)[i & _BLOCK_MASK]
+        if not k:  # n is prime
+            factors.append(n)
+            break
+        p = 6 * k - 1
+        if n % p:
+            p += 2
         factors.append(p)
         n //= p
     return factors

@@ -415,6 +415,48 @@ def test_every_entry_point_refuses_the_cap_alike(fn, big):
     assert str(refused.value) == f"{big} exceeds the 64-bit cap"
 
 
+@pytest.mark.parametrize(
+    "call",
+    [lambda n: factor_on_grid(n, ASC), lambda n: factor_on_grid(n, BAL), full_factorize],
+    ids=["factor_on_grid-asc", "factor_on_grid-balanced", "full_factorize"],
+)
+@pytest.mark.parametrize(
+    "n, error, message",
+    [
+        (True, TypeError, "n must be an int, got bool"),
+        (7.0, TypeError, "n must be an int, got float"),
+        (2**63, ResourceLimitError, "9223372036854775808 exceeds the 64-bit cap"),
+    ],
+    ids=["bool", "float", "2**63"],
+)
+def test_factoring_refuses_n_with_the_guards_messages(call, n, error, message):
+    with pytest.raises(error) as refused:
+        call(n)
+    assert type(refused.value) is error and str(refused.value) == message
+
+
+@pytest.mark.parametrize("n", [True, 7.0, 2**63], ids=["bool", "float", "2**63"])
+def test_factor_on_grid_refuses_the_strategy_before_n(n):
+    # is_prime refuses n first, factor_on_grid the strategy first
+    with pytest.raises(TypeError) as refused:
+        factor_on_grid(n, "balanced")
+    assert str(refused.value) == "expected a SearchStrategy, got str"
+
+
+class Int(int):
+    """An int subclass, which the int guard accepts as its value."""
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [(lambda n: factor_on_grid(n, ASC), (5, 35)), (lambda n: factor_on_grid(n, BAL), (7, 25)),
+     (full_factorize, [5, 5, 7]), (lambda n: is_prime(n, BAL).witness, GridCoordinate(2, 8, 175))],
+    ids=["factor_on_grid-asc", "factor_on_grid-balanced", "full_factorize", "is_prime-balanced"],
+)
+def test_an_int_subclass_within_the_cap_passes_the_guards(call, expected):
+    assert call(Int(175)) == expected
+
+
 def divisor_pairs(n):
     """All (a, b), a <= b, a*b = n with both sides on the 6k±1 axis."""
     pairs = []

@@ -358,6 +358,9 @@ GRID_CALLS = {
     "full_factorize": full_factorize,
 }
 
+# The calls that read the slot of each cofactor of n below the cap, not n's alone.
+COFACTOR_CALLS = {name: GRID_CALLS[name] for name in ("is_prime-balanced", "factor_on_grid-balanced", "full_factorize")}
+
 
 class TestStageWork:
     """Deterministic work counts, not wall clock, pin each path's cost."""
@@ -385,6 +388,23 @@ class TestStageWork:
         # so no axis prime is scanned, and a first call builds the one block holding n
         assert scans == []
         assert n <= qgrid.TABLE_CAP and built_blocks() == [n // 3 // qgrid.BLOCK_SLOTS]
+
+    @pytest.mark.parametrize("call", COFACTOR_CALLS.values(), ids=COFACTOR_CALLS.keys())
+    @pytest.mark.parametrize(
+        "n, factors, blocks",
+        [(5 * 400009, [5, 400009], [8, 40]), (5 * 5 * 90001, [5, 5, 90001], [1, 9, 45]),
+         (5 * 7 * 7 * 11 * 13 * 17, [5, 7, 7, 11, 13, 17], [0, 2, 12])],
+        ids=["semiprime", "three-blocks", "six-factors"],
+    )
+    @pytest.mark.usefixtures("fresh_table")
+    def test_below_the_cap_builds_the_blocks_of_the_cofactors_alone(self, call, n, factors, blocks):
+        # balanced reads the slot of n and of n // p, and on to the last factor
+        # when n // p is composite; full_factorize reads the same slots
+        assert prod(factors) == n
+        cofactors = [n // prod(factors[:i]) for i in range(len(factors))]
+        assert sorted({m // 3 // qgrid.BLOCK_SLOTS for m in cofactors}) == blocks
+        call(n)
+        assert built_blocks() == blocks
 
     @pytest.mark.parametrize("call", GRID_CALLS.values(), ids=GRID_CALLS.keys())
     @pytest.mark.parametrize("n", [5 * 7 * 7 * 11 * 13 * 17], ids=["composite-below-the-cap"])
@@ -569,6 +589,19 @@ def least_prime_factors(limit):
     return lpf
 
 
+def largest_divisors_to_root(limit):
+    """Largest divisor d of each n <= limit with 1 < d <= sqrt(n), 0 when there is none.
+
+    Plain marking, no factorization: each d <= sqrt(limit) writes itself to
+    d*d, d*d + d, ..., the n with n // d >= d, in ascending order of d, so
+    the largest is written last.
+    """
+    largest = array("H", bytes(2 * (limit + 1)))
+    for d in range(2, isqrt(limit) + 1):
+        largest[d * d :: d] = array("H", [d]) * len(range(d * d, limit + 1, d))
+    return largest
+
+
 def axis_prime_products(limit):
     """p*p, p*q and q*q for the two largest axis primes q < p <= limit."""
     p, q = [v for v in range(limit, 4, -1) if v % 6 in (1, 5) and oracle.trial_is_prime(v)][:2]
@@ -602,6 +635,22 @@ class TestLeastFactorTable:
         for n in range(5, qgrid.TABLE_CAP + 1):
             if n % 6 in (1, 5):
                 assert qgrid.axis_divisor(n) == (lpf[n] or None), n
+
+    def test_factors_and_balanced_divisor_match_the_reference_up_to_the_cap(self):
+        # Every n the table answers, against the plain sieves: its prime factors,
+        # one lookup each, and its largest divisor <= sqrt(n), which balanced
+        # reads off n's slot and the slot of n // p.
+        lpf = least_prime_factors(qgrid.TABLE_CAP)
+        root_divisor = largest_divisors_to_root(qgrid.TABLE_CAP)
+        for n in range(5, qgrid.TABLE_CAP + 1):
+            if n % 6 not in (1, 5):
+                continue
+            factors, m = [], n
+            while lpf[m]:
+                factors.append(lpf[m])
+                m //= lpf[m]
+            assert qgrid.axis_factors(n) == factors + [m], n
+            assert qgrid.axis_divisor(n, descending=True) == (root_divisor[n] or None), n
 
     @pytest.mark.parametrize("bound", BOUNDS)
     def test_answers_at_a_bound(self, monkeypatch, bound):
